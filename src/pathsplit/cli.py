@@ -211,24 +211,53 @@ def run_overhead(config: dict) -> None:
     )
 
 
+# subcommand -> (runner, the config keys it reads)
 _RUNNERS = {
-    "generate": run_generate,
-    "split": run_split,
-    "evaluate": run_evaluate,
-    "overhead": run_overhead,
+    "generate": (
+        run_generate,
+        ("classes", "per_class", "unmonitored", "seed", "output", "format"),
+    ),
+    "split": (run_split, ("input", "input_format", "scheduler", "output", "format")),
+    "evaluate": (
+        run_evaluate,
+        ("input", "input_format", "scheduler", "seed", "k", "threshold_quantile",
+         "r", "output"),
+    ),
+    "overhead": (
+        run_overhead,
+        ("protocol", "periods_ms", "reps", "paths", "rtt_ms", "bandwidth_mbps",
+         "loss", "total_mb", "validate_cache", "seed", "output"),
+    ),
 }
 
 
 def run_replay(manifest_path: str, output_override: str | None) -> None:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest is not a JSON object")
     subcommand = manifest.get("subcommand")
     if subcommand not in _RUNNERS:
         raise ValueError(f"manifest names unknown subcommand {subcommand!r}")
-    config = dict(manifest["config"])
+    version = manifest.get("tool_version")
+    if version != __version__:
+        raise ValueError(
+            f"manifest was written by pathsplit {version!r}; this is "
+            f"{__version__!r}, which may not reproduce its artifact"
+        )
+    config = manifest.get("config")
+    if not isinstance(config, dict):
+        raise ValueError("manifest has no config object")
+    config = dict(config)
     if output_override:
         config["output"] = output_override
-    _RUNNERS[subcommand](config)
+    runner, keys = _RUNNERS[subcommand]
+    missing = [key for key in keys if key not in config]
+    if missing:
+        raise ValueError(
+            f"manifest config for {subcommand} lacks {', '.join(missing)}"
+        )
+    runner(config)
 
 
 # --- argument parsing

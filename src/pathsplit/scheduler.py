@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from .rand import stream_rng
-from .traces import Trace
+from .traces import Trace, int64_column
 
 _STREAM_SCHEDULE = 201
 
@@ -129,22 +129,36 @@ class SchedulerConfig:
         return config
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathAssignment:
-    """Per-packet path indices for one trace."""
+    """Per-packet path indices for one trace, as a read-only int64 array."""
 
-    path_per_packet: tuple[int, ...]
+    path_per_packet: np.ndarray
     n_paths: int
     weights_used: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if any(not (0 <= p < self.n_paths) for p in self.path_per_packet):
+        paths = int64_column(self.path_per_packet)
+        if ((paths < 0) | (paths >= self.n_paths)).any():
             raise ValueError("path index out of range")
+        object.__setattr__(self, "path_per_packet", paths)
         if self.weights_used is not None:
             if len(self.weights_used) != self.n_paths:
                 raise ValueError("weights_used must have n_paths entries")
             if abs(sum(self.weights_used) - 1.0) > 1e-9:
                 raise ValueError("weights_used must sum to 1")
+
+    def __eq__(self, other):
+        if not isinstance(other, PathAssignment):
+            return NotImplemented
+        return (
+            self.n_paths == other.n_paths
+            and self.weights_used == other.weights_used
+            and np.array_equal(self.path_per_packet, other.path_per_packet)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.path_per_packet.tobytes(), self.n_paths, self.weights_used))
 
 
 def draw_connection_weights(
@@ -167,7 +181,7 @@ def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> Pat
     are independent and the whole dataset is reproducible.
     """
     config.validate()
-    if not trace.packets:
+    if not len(trace):
         raise ValueError("cannot schedule an empty trace")
     if config.strategy is Strategy.CONTEXT_DEPENDENT:
         return schedule_context_dependent(
@@ -178,7 +192,7 @@ def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> Pat
             n_paths=config.n_paths,
         )
 
-    n = len(trace.packets)
+    n = len(trace)
     rng = stream_rng(config.seed, _STREAM_SCHEDULE, trace_index)
     weights = None
     if config.strategy is Strategy.WEIGHTED_RANDOM:
@@ -188,8 +202,9 @@ def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> Pat
         inverse = np.arange(n) // config.batch_packets
         block_ids = np.arange(int(inverse[-1]) + 1)
     else:
-        times = np.fromiter((p.timestamp_us for p in trace.packets), np.int64, n)
-        block_ids, inverse = np.unique(times // config.window_us, return_inverse=True)
+        block_ids, inverse = np.unique(
+            trace.times_us // config.window_us, return_inverse=True
+        )
 
     if config.strategy is Strategy.ROUND_ROBIN:
         per_block = (config.rr_offset + block_ids) % config.n_paths
@@ -198,9 +213,8 @@ def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> Pat
     else:
         per_block = rng.choice(config.n_paths, size=len(block_ids), p=weights)
 
-    paths = per_block[inverse]
     return PathAssignment(
-        tuple(int(p) for p in paths),
+        per_block[inverse],
         config.n_paths,
         tuple(float(w) for w in weights) if weights is not None else None,
     )
@@ -228,7 +242,6 @@ def schedule_context_dependent(
         n_paths = max(vpn_path, direct_path) + 1
     if n_paths <= max(vpn_path, direct_path):
         raise ValueError("n_paths too small for the given path indices")
-    n = len(trace.packets)
-    head = min(handshake_packets, n)
-    paths = (vpn_path,) * head + (direct_path,) * (n - head)
+    paths = np.full(len(trace), direct_path, dtype=np.int64)
+    paths[:handshake_packets] = vpn_path
     return PathAssignment(paths, n_paths)

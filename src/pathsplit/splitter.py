@@ -12,47 +12,56 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .scheduler import PathAssignment, SchedulerConfig, schedule
-from .traces import Dataset, Packet, Trace
+from .traces import Dataset, PacketView, Trace
 
 
 @dataclass(frozen=True)
 class SubTrace:
-    """The slice of one trace visible on one path."""
+    """The slice of one trace visible on one path, on the parent's clock."""
 
     path_index: int
-    packets: tuple[Packet, ...]
-    label: str
-    monitored: bool
+    trace: Trace
+
+    @property
+    def packets(self) -> PacketView:
+        return self.trace.packets
+
+    @property
+    def label(self) -> str:
+        return self.trace.label
+
+    @property
+    def monitored(self) -> bool:
+        return self.trace.monitored
 
     def to_trace(self, normalize: bool = False) -> Trace:
         """View as a plain Trace, optionally rebasing the clock to the
         subtrace's own first packet."""
-        packets = self.packets
-        if normalize and packets:
-            origin = packets[0].timestamp_us
-            if origin:
-                packets = tuple(
-                    Packet(p.timestamp_us - origin, p.direction, p.size_bytes)
-                    for p in packets
-                )
-        return Trace(packets, self.label, self.monitored)
+        times = self.trace.times_us
+        if normalize and len(times) and times[0]:
+            return Trace(times - times[0], self.trace.signed_size, self.label,
+                         self.monitored)
+        return self.trace
 
 
 def split(trace: Trace, assignment: PathAssignment) -> list[SubTrace]:
     """Partition a trace into one subtrace per path (empties included)."""
-    if len(assignment.path_per_packet) != len(trace.packets):
+    paths = assignment.path_per_packet
+    if len(paths) != len(trace):
         raise ValueError(
-            f"assignment length {len(assignment.path_per_packet)} does not "
-            f"match trace length {len(trace.packets)}"
+            f"assignment length {len(paths)} does not "
+            f"match trace length {len(trace)}"
         )
-    buckets: list[list[Packet]] = [[] for _ in range(assignment.n_paths)]
-    for packet, path in zip(trace.packets, assignment.path_per_packet):
-        buckets[path].append(packet)
-    return [
-        SubTrace(i, tuple(bucket), trace.label, trace.monitored)
-        for i, bucket in enumerate(buckets)
-    ]
+    subtraces = []
+    for i in range(assignment.n_paths):
+        on_path = paths == i
+        part = Trace(trace.times_us[on_path], trace.signed_size[on_path],
+                     trace.label, trace.monitored)
+        subtraces.append(SubTrace(i, part))
+    return subtraces
 
 
 def merge(subtraces: list[SubTrace]) -> Trace:
@@ -64,15 +73,14 @@ def merge(subtraces: list[SubTrace]) -> Trace:
     """
     if not subtraces:
         raise ValueError("nothing to merge")
-    label = subtraces[0].label
-    monitored = subtraces[0].monitored
-    keyed = [
-        (p.timestamp_us, sub.path_index, rank, p)
-        for sub in subtraces
-        for rank, p in enumerate(sub.packets)
-    ]
-    keyed.sort(key=lambda item: item[:3])
-    return Trace(tuple(item[3] for item in keyed), label, monitored)
+    parts = [sub.trace for sub in subtraces]
+    times = np.concatenate([t.times_us for t in parts])
+    sizes = np.concatenate([t.signed_size for t in parts])
+    lengths = [len(t) for t in parts]
+    path = np.repeat([sub.path_index for sub in subtraces], lengths)
+    rank = np.concatenate([np.arange(n) for n in lengths])
+    order = np.lexsort((rank, path, times))
+    return Trace(times[order], sizes[order], parts[0].label, parts[0].monitored)
 
 
 def split_dataset(
@@ -89,7 +97,7 @@ def split_dataset(
     for index, trace in enumerate(dataset.traces):
         assignment = schedule(trace, config, trace_index=index)
         for sub in split(trace, assignment):
-            if drop_empty and not sub.packets:
+            if drop_empty and not len(sub.trace):
                 continue
             out.append(sub.to_trace())
     metadata = dict(dataset.metadata)

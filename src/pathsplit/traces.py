@@ -1,5 +1,11 @@
 """Packet-trace data model, file I/O, and a labeled synthetic-trace generator.
 
+A trace is columnar: two read-only int64 arrays of equal length,
+``times_us`` (microseconds, sorted, non-negative) and ``signed_size``
+(bytes, sign gives the direction). ``Trace.packets`` is a view that builds
+one :class:`Packet` per element on access, for callers that want objects;
+nothing on the load, split or feature path reads it.
+
 Two wire formats are supported:
 
 ndjson
@@ -10,14 +16,16 @@ ndjson
 
 csv
     Header ``trace_id,label,monitored,timestamp_us,signed_size``, one row
-    per packet, rows grouped by ``trace_id``.
+    per packet, rows grouped by ``trace_id``; each id forms one contiguous
+    group.
 
 In both formats a packet's direction rides on the sign of its size:
 positive is outgoing (client to server), negative is incoming. Zero sizes
-are invalid. Loaders normalize every trace so its first packet sits at
-t=0 with packets stably sorted by timestamp, and reject unknown fields or
-columns by name. The label "unmonitored" is reserved: traces with
-monitored=false must carry it and monitored traces must not.
+are invalid, and every value must fit in int64. Loaders normalize every
+trace so its first packet sits at t=0 with packets stably sorted by
+timestamp, and reject unknown fields or columns by name. The label
+"unmonitored" is reserved: traces with monitored=false must carry it and
+monitored traces must not.
 
 Dataset ``metadata`` is in-memory bookkeeping only; neither format
 persists it.
@@ -32,8 +40,11 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from itertools import chain, compress, count, islice, repeat
+from operator import itemgetter, ne
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -44,6 +55,9 @@ UNMONITORED_LABEL = "unmonitored"
 NDJSON_FIELDS = ("label", "monitored", "packets")
 CSV_COLUMNS = ("trace_id", "label", "monitored", "timestamp_us", "signed_size")
 FORMATS = ("ndjson", "csv")
+
+INT64_MIN = -(2**63)
+INT64_MAX = 2**63 - 1
 
 
 class DatasetFormatError(ValueError):
@@ -84,24 +98,129 @@ class Packet:
         return self.direction.sign * self.size_bytes
 
 
-@dataclass(frozen=True)
+def int64_column(values) -> np.ndarray:
+    """A read-only 1-D int64 array over values, sharing memory when it can.
+
+    Only the returned view is read-only; an array passed in keeps its own
+    flags.
+    """
+    column = np.asarray(values, dtype=np.int64)
+    if column.ndim != 1:
+        raise ValueError(f"expected a 1-D column, got shape {column.shape}")
+    if column.flags.writeable:
+        column = column.view()
+        column.flags.writeable = False
+    return column
+
+
+class PacketView(Sequence):
+    """Packets of a trace as objects, each built when it is read.
+
+    Compares equal to another view with the same columns, or to a tuple or
+    list of the same packets.
+    """
+
+    __slots__ = ("_times", "_sizes")
+
+    def __init__(self, times_us: np.ndarray, signed_size: np.ndarray):
+        self._times = times_us
+        self._sizes = signed_size
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PacketView(self._times[index], self._sizes[index])
+        return _packet(int(self._times[index]), int(self._sizes[index]))
+
+    def __iter__(self):
+        return map(_packet, self._times.tolist(), self._sizes.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, PacketView):
+            return np.array_equal(self._times, other._times) and np.array_equal(
+                self._sizes, other._sizes
+            )
+        if isinstance(other, (tuple, list)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PacketView({list(self)!r})"
+
+
+def _packet(timestamp_us: int, signed_size: int) -> Packet:
+    direction = Direction.OUTGOING if signed_size > 0 else Direction.INCOMING
+    return Packet(timestamp_us, direction, abs(signed_size))
+
+
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """An ordered packet sequence with its class label.
+    """A packet sequence with its class label, stored as two int64 columns.
 
     Packets are expected to be sorted by timestamp; constructors in this
     module (loaders, generator, :func:`normalize_trace`) guarantee it.
+    Construction checks that timestamps are non-negative and sizes
+    non-zero.
     """
 
-    packets: tuple[Packet, ...]
+    times_us: np.ndarray
+    signed_size: np.ndarray
     label: str
     monitored: bool
 
+    def __post_init__(self):
+        times = int64_column(self.times_us)
+        sizes = int64_column(self.signed_size)
+        if len(times) != len(sizes):
+            raise ValueError(
+                f"{len(times)} timestamps but {len(sizes)} sizes"
+            )
+        if len(times) and times.min() < 0:
+            raise ValueError(f"negative timestamp {times.min()}")
+        if not sizes.all():
+            raise ValueError("packet size must be non-zero")
+        object.__setattr__(self, "times_us", times)
+        object.__setattr__(self, "signed_size", sizes)
+
+    @classmethod
+    def from_packets(
+        cls, packets: Iterable[Packet], label: str, monitored: bool
+    ) -> "Trace":
+        """Build a trace from Packet objects, in the order given."""
+        packets = tuple(packets)
+        times = [p.timestamp_us for p in packets]
+        sizes = [p.signed_size for p in packets]
+        return cls(times, sizes, label, monitored)
+
+    @property
+    def packets(self) -> PacketView:
+        """The packets as objects, built on access."""
+        return PacketView(self.times_us, self.signed_size)
+
     def __len__(self) -> int:
-        return len(self.packets)
+        return len(self.times_us)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            self.label == other.label
+            and self.monitored == other.monitored
+            and np.array_equal(self.times_us, other.times_us)
+            and np.array_equal(self.signed_size, other.signed_size)
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.label, self.monitored, self.times_us.tobytes(),
+             self.signed_size.tobytes())
+        )
 
     @property
     def total_bytes(self) -> int:
-        return sum(p.size_bytes for p in self.packets)
+        return int(np.abs(self.signed_size).sum())
 
 
 @dataclass(frozen=True)
@@ -139,8 +258,17 @@ class Dataset:
 
 def filter_direction(trace: Trace, direction: Direction) -> Trace:
     """Keep only one traffic direction (an adversary's one-sided view)."""
-    packets = tuple(p for p in trace.packets if p.direction is direction)
-    return Trace(packets, trace.label, trace.monitored)
+    keep = np.sign(trace.signed_size) == direction.sign
+    return Trace(trace.times_us[keep], trace.signed_size[keep], trace.label,
+                 trace.monitored)
+
+
+def _stable_sorted(times: np.ndarray, sizes: np.ndarray):
+    """Both columns stably sorted by timestamp; unchanged if already sorted."""
+    if (times[1:] < times[:-1]).any():
+        order = np.argsort(times, kind="stable")
+        return times[order], sizes[order]
+    return times, sizes
 
 
 def normalize_trace(trace: Trace) -> Trace:
@@ -148,16 +276,12 @@ def normalize_trace(trace: Trace) -> Trace:
 
     Idempotent: normalizing an already normalized trace is a no-op.
     """
-    if not trace.packets:
+    if not len(trace):
         return trace
-    ordered = sorted(trace.packets, key=lambda p: p.timestamp_us)
-    origin = ordered[0].timestamp_us
-    if origin == 0 and ordered == list(trace.packets):
+    times, sizes = _stable_sorted(trace.times_us, trace.signed_size)
+    if times[0] == 0 and times is trace.times_us:
         return trace
-    packets = tuple(
-        Packet(p.timestamp_us - origin, p.direction, p.size_bytes) for p in ordered
-    )
-    return Trace(packets, trace.label, trace.monitored)
+    return Trace(times - times[0], sizes, trace.label, trace.monitored)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +292,8 @@ def load_dataset(path, fmt: str = "ndjson") -> Dataset:
     """Load a dataset file, normalizing and sorting every trace.
 
     Raises DatasetFormatError with the offending line number on malformed
-    input, unknown fields/columns, zero-size packets, or empty traces.
+    input, unknown fields/columns, zero-size packets, values outside int64,
+    empty traces, or a csv trace_id that reappears after another id.
     """
     _check_format(fmt)
     if fmt == "ndjson":
@@ -182,7 +307,7 @@ def save_dataset(dataset: Dataset, path, fmt: str = "ndjson") -> None:
     """Write a dataset; load(save(d)) reproduces d's traces exactly."""
     _check_format(fmt)
     for i, trace in enumerate(dataset.traces):
-        if not trace.packets:
+        if not len(trace):
             raise ValueError(
                 f"trace {i} (label {trace.label!r}) has no packets; "
                 "empty traces are not representable on disk"
@@ -226,25 +351,53 @@ def _check_reserved_label(label: str, monitored: bool, line: int) -> None:
         )
 
 
-def _trace_from_pairs(
-    pairs: Sequence[tuple[int, int]], label: str, monitored: bool, line: int
+def _rebased(
+    times: np.ndarray, sizes: np.ndarray, label: str, monitored: bool
 ) -> Trace:
-    if not pairs:
-        raise DatasetFormatError(f"empty trace (label {label!r})", line)
-    for ts, signed in pairs:
-        if signed == 0:
-            raise DatasetFormatError(f"zero-size packet in trace {label!r}", line)
-    ordered = sorted(pairs, key=lambda p: p[0])  # stable: preserves file order on ties
-    origin = ordered[0][0]
-    packets = tuple(
-        Packet(
-            ts - origin,
-            Direction.OUTGOING if signed > 0 else Direction.INCOMING,
-            abs(signed),
-        )
-        for ts, signed in ordered
-    )
-    return Trace(packets, label, monitored)
+    """One trace read from a file, stably sorted and shifted to start at 0."""
+    times, sizes = _stable_sorted(times, sizes)
+    return Trace(times - times[0], np.ascontiguousarray(sizes), label, monitored)
+
+
+def _in_int64(value: int) -> bool:
+    return INT64_MIN <= value <= INT64_MAX
+
+
+def _ndjson_columns(entries: list, line: int) -> tuple[np.ndarray, np.ndarray]:
+    """``[[timestamp_us, signed_size], ...]`` as two int64 columns.
+
+    The checks run as whole-list passes; only when one fails are the
+    entries walked to name the first bad one.
+    """
+    if entries and (set(map(type, entries)) != {list} or set(map(len, entries)) != {2}):
+        raise _bad_ndjson_entry(entries, line)
+    flat = list(chain.from_iterable(entries))
+    if flat and set(map(type, flat)) != {int}:  # bool is its own type
+        raise _bad_ndjson_entry(entries, line)
+    try:
+        pairs = np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
+    except OverflowError:
+        raise _bad_ndjson_entry(entries, line) from None
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _bad_ndjson_entry(entries: list, line: int) -> DatasetFormatError:
+    for entry in entries:
+        if not (
+            type(entry) is list
+            and len(entry) == 2
+            and all(type(v) is int for v in entry)
+        ):
+            return DatasetFormatError(
+                "packet entries must be [timestamp_us, signed_size] "
+                f"integer pairs, got {entry!r}",
+                line,
+            )
+        if not all(map(_in_int64, entry)):
+            return DatasetFormatError(
+                f"packet values must fit in int64, got {entry!r}", line
+            )
+    return DatasetFormatError("malformed packet entries", line)
 
 
 def _read_ndjson(path) -> list[Trace]:
@@ -276,23 +429,16 @@ def _read_ndjson(path) -> list[Trace]:
                 raise DatasetFormatError("monitored must be a boolean", lineno)
             if not isinstance(packets, list):
                 raise DatasetFormatError("packets must be a list", lineno)
-            pairs = []
-            for entry in packets:
-                if (
-                    not isinstance(entry, list)
-                    or len(entry) != 2
-                    or not all(
-                        isinstance(v, int) and not isinstance(v, bool) for v in entry
-                    )
-                ):
-                    raise DatasetFormatError(
-                        "packet entries must be [timestamp_us, signed_size] "
-                        f"integer pairs, got {entry!r}",
-                        lineno,
-                    )
-                pairs.append((entry[0], entry[1]))
+            times, sizes = _ndjson_columns(packets, lineno)
             _check_reserved_label(label, monitored, lineno)
-            traces.append(_trace_from_pairs(pairs, label, monitored, lineno))
+            if not len(times):
+                raise DatasetFormatError(f"empty trace (label {label!r})", lineno)
+            if not sizes.all():
+                raise DatasetFormatError(
+                    f"zero-size packet in trace {label!r}", lineno
+                )
+            _check_span(label, int(times.min()), int(times.max()), lineno)
+            traces.append(_rebased(times, sizes, label, monitored))
     return traces
 
 
@@ -307,15 +453,130 @@ def _parse_bool(value: str, line: int) -> bool:
 
 def _parse_int(value: str, column: str, line: int) -> int:
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise DatasetFormatError(
             f"{column} must be an integer, got {value!r}", line
         ) from None
+    if not _in_int64(number):
+        raise DatasetFormatError(f"{column} must fit in int64, got {value!r}", line)
+    return number
+
+
+def _check_csv_rows(path) -> None:
+    """Re-read a csv dataset row by row; raise at the first faulty row.
+
+    The loader makes the same checks column by column and calls this only
+    when one of them fails, to name the line.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header was checked already
+        seen: set[str] = set()
+        current_id = None
+        label, monitored, start, low, high = "", False, 2, 0, 0
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(CSV_COLUMNS):
+                raise DatasetFormatError(
+                    f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", lineno
+                )
+            tid, row_label, row_mon_s, ts_s, size_s = row
+            row_monitored = _parse_bool(row_mon_s, lineno)
+            ts = _parse_int(ts_s, "timestamp_us", lineno)
+            if _parse_int(size_s, "signed_size", lineno) == 0:
+                raise DatasetFormatError(f"zero-size packet in trace {tid!r}", lineno)
+            _check_reserved_label(row_label, row_monitored, lineno)
+            if tid != current_id:
+                _check_span(current_id, low, high, start)
+                if tid in seen:
+                    raise DatasetFormatError(
+                        f"trace_id {tid!r} reappears after another trace_id; "
+                        "each trace's rows must be contiguous",
+                        lineno,
+                    )
+                seen.add(tid)
+                current_id, label, monitored = tid, row_label, row_monitored
+                start, low, high = lineno, ts, ts
+            elif row_label != label or row_monitored != monitored:
+                raise DatasetFormatError(
+                    f"trace {tid!r} changes label or monitored flag mid-group",
+                    lineno,
+                )
+            low, high = min(low, ts), max(high, ts)
+        _check_span(current_id, low, high, start)
+
+
+def _check_span(trace: str | None, low: int, high: int, line: int) -> None:
+    if high - low > INT64_MAX:  # rebasing in int64 would wrap silently
+        raise DatasetFormatError(
+            f"timestamps of trace {trace!r} span more than the int64 range", line
+        )
+
+
+_CSV_BLOCK_ROWS = 8192  # rows held as Python lists at a time
+
+
+def _csv_columns(reader):
+    """Parse csv rows a block at a time, checking them column by column.
+
+    Returns the first row index of each trace, each trace's (trace_id,
+    label, monitored), and the timestamp and size columns; None if any
+    check fails.
+    """
+    starts: list[int] = []
+    heads: list[tuple[str, str, bool]] = []
+    time_blocks, size_blocks = [], []
+    previous = (None, None, None)  # trace_id, label, monitored of the last row
+    n = 0
+    for block in iter(lambda: list(islice(reader, _CSV_BLOCK_ROWS)), []):
+        block = list(filter(None, block))  # blank lines are skipped
+        if not block:
+            continue
+        if set(map(len, block)) != {len(CSV_COLUMNS)}:
+            return None
+        tids, labels, flags, ts_col, size_col = (
+            list(map(itemgetter(c), block)) for c in range(len(CSV_COLUMNS))
+        )
+        flags = list(map(str.lower, map(str.strip, flags)))
+        if not set(flags) <= {"true", "false"}:
+            return None
+        try:
+            time_blocks.append(np.fromiter(map(int, ts_col), np.int64, len(block)))
+            size_blocks.append(np.fromiter(map(int, size_col), np.int64, len(block)))
+        except (ValueError, OverflowError):
+            return None
+        new = _changes(tids, previous[0], n)
+        inner = _changes(labels, previous[1], n) + _changes(flags, previous[2], n)
+        if not set(inner) <= set(new):
+            return None  # label or monitored flag changes inside a trace
+        starts += new
+        heads += [(tids[i - n], labels[i - n], flags[i - n] == "true") for i in new]
+        previous = (tids[-1], labels[-1], flags[-1])
+        n += len(block)
+    if not n:
+        return [], [], np.zeros(0, np.int64), np.zeros(0, np.int64)
+    if len({tid for tid, _, _ in heads}) != len(heads):
+        return None  # a trace_id reappears after another one
+    if any(monitored == (label == UNMONITORED_LABEL) for _, label, monitored in heads):
+        return None
+    times, sizes = np.concatenate(time_blocks), np.concatenate(size_blocks)
+    if not sizes.all():
+        return None
+    # max - min per trace wraps below zero exactly when it exceeds int64
+    spans = np.maximum.reduceat(times, starts) - np.minimum.reduceat(times, starts)
+    if (spans < 0).any():
+        return None
+    return starts, heads, times, sizes
+
+
+def _changes(column: list, previous, offset: int) -> list[int]:
+    """offset + i for each i where column[i] differs from the value before it."""
+    return list(compress(count(offset), map(ne, chain((previous,), column), column)))
 
 
 def _read_csv(path) -> list[Trace]:
-    traces = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -331,45 +592,15 @@ def _read_csv(path) -> list[Trace]:
             raise DatasetFormatError(
                 f"header must be exactly {','.join(CSV_COLUMNS)}", 1
             )
-
-        current_id: str | None = None
-        label = ""
-        monitored = False
-        pairs: list[tuple[int, int]] = []
-        start_line = 2
-
-        def flush():
-            if current_id is not None:
-                traces.append(_trace_from_pairs(pairs, label, monitored, start_line))
-
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_COLUMNS):
-                raise DatasetFormatError(
-                    f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", lineno
-                )
-            tid, row_label, row_mon_s, ts_s, size_s = row
-            row_monitored = _parse_bool(row_mon_s, lineno)
-            ts = _parse_int(ts_s, "timestamp_us", lineno)
-            signed = _parse_int(size_s, "signed_size", lineno)
-            if signed == 0:
-                raise DatasetFormatError(
-                    f"zero-size packet in trace {tid!r}", lineno
-                )
-            _check_reserved_label(row_label, row_monitored, lineno)
-            if tid != current_id:
-                flush()
-                current_id, label, monitored = tid, row_label, row_monitored
-                pairs, start_line = [], lineno
-            elif row_label != label or row_monitored != monitored:
-                raise DatasetFormatError(
-                    f"trace {tid!r} changes label or monitored flag mid-group",
-                    lineno,
-                )
-            pairs.append((ts, signed))
-        flush()
-    return traces
+        parsed = _csv_columns(reader)
+    if parsed is None:
+        _check_csv_rows(path)
+    starts, heads, times, sizes = parsed
+    ends = starts[1:] + [len(times)]
+    return [
+        _rebased(times[s:e], sizes[s:e], label, monitored)
+        for s, e, (_, label, monitored) in zip(starts, ends, heads)
+    ]
 
 
 def _to_ndjson(dataset: Dataset) -> str:
@@ -378,7 +609,7 @@ def _to_ndjson(dataset: Dataset) -> str:
         obj = {
             "label": trace.label,
             "monitored": trace.monitored,
-            "packets": [[p.timestamp_us, p.signed_size] for p in trace.packets],
+            "packets": np.column_stack((trace.times_us, trace.signed_size)).tolist(),
         }
         lines.append(json.dumps(obj, ensure_ascii=False, separators=(",", ":")))
     return "".join(line + "\n" for line in lines)
@@ -387,11 +618,21 @@ def _to_ndjson(dataset: Dataset) -> str:
 def _to_csv(dataset: Dataset) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    # the writer quotes only lineterminator characters; a bare \r in an
+    # unquoted label would end its row on reading
+    quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(CSV_COLUMNS)
     for i, trace in enumerate(dataset.traces):
         mon = "true" if trace.monitored else "false"
-        for p in trace.packets:
-            writer.writerow([i, trace.label, mon, p.timestamp_us, p.signed_size])
+        (quote_all if "\r" in trace.label else writer).writerows(
+            zip(
+                repeat(i),
+                repeat(trace.label),
+                repeat(mon),
+                trace.times_us.tolist(),
+                trace.signed_size.tolist(),
+            )
+        )
     return buf.getvalue()
 
 
@@ -453,11 +694,8 @@ def _synth_trace(
     iats = np.maximum(np.rint(rng.exponential(iat_mu, size=n)), 1).astype(np.int64)
     iats[0] = 0
     times = np.cumsum(iats)
-    packets = tuple(
-        Packet(int(t), Direction.OUTGOING if o else Direction.INCOMING, int(s))
-        for t, o, s in zip(times.tolist(), out_mask.tolist(), sizes.tolist())
-    )
-    return Trace(packets, label, monitored)
+    signed = np.where(out_mask, sizes, -sizes).astype(np.int64)
+    return Trace(times, signed, label, monitored)
 
 
 def _background_burst(rng: np.random.Generator) -> tuple[int, int]:

@@ -39,22 +39,22 @@ _STREAM_SPLIT = 301
 _SCALARS = 9
 _FIRST_SIGNS = 30
 _HIST_BINS = 10
-_HIST_MAX_SIZE = 1500.0
+_HIST_BIN_WIDTH = 150  # bytes
 FEATURE_DIM = _SCALARS + _FIRST_SIGNS + _HIST_BINS
 
 
 def extract_features(trace: Trace) -> np.ndarray:
     """Fixed-order feature vector; the all-zero vector for empty traces."""
     vec = np.zeros(FEATURE_DIM)
-    packets = trace.packets
-    n = len(packets)
+    n = len(trace)
     if n == 0:
         return vec
-    times = np.fromiter((p.timestamp_us for p in packets), np.int64, n)
-    sizes = np.fromiter((p.size_bytes for p in packets), np.int64, n)
-    signs = np.fromiter((p.direction.sign for p in packets), np.int64, n)
+    times = trace.times_us
+    signed = trace.signed_size
+    sizes = np.abs(signed)
+    signs = np.sign(signed)
     rel = times - times[0]
-    out_mask = signs > 0
+    out_mask = signed > 0
 
     vec[0] = n
     vec[1] = int(out_mask.sum())
@@ -69,8 +69,9 @@ def extract_features(trace: Trace) -> np.ndarray:
     head = signs[:_FIRST_SIGNS]
     vec[_SCALARS : _SCALARS + len(head)] = head
 
-    hist, _ = np.histogram(
-        np.clip(sizes, 0, _HIST_MAX_SIZE), bins=_HIST_BINS, range=(0.0, _HIST_MAX_SIZE)
+    # bins of width 150 B over [0, 1500]; 1500 B and larger fall in the last
+    hist = np.bincount(
+        np.minimum(sizes // _HIST_BIN_WIDTH, _HIST_BINS - 1), minlength=_HIST_BINS
     )
     vec[_SCALARS + _FIRST_SIGNS :] = hist / n
     return vec
@@ -181,7 +182,7 @@ def classify(model: Classifier, trace: Trace) -> str:
     ties broken by summed distance then lexical label order. Empty traces
     are unmonitored by definition.
     """
-    if not trace.packets:
+    if not len(trace):
         return UNMONITORED_LABEL
     query = (extract_features(trace) - model.mean) / model.std
     dists = np.sqrt(((model.exemplars - query) ** 2).sum(axis=1))
@@ -343,7 +344,7 @@ def evaluate_defense(
                 continue
             assignment = schedule(trace, scheduler_config, trace_index=i)
             for sub in split(trace, assignment):
-                if drop_empty and not sub.packets:
+                if drop_empty and not len(sub.trace):
                     continue
                 rows.append(sub.to_trace())
         return rows

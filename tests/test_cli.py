@@ -177,3 +177,66 @@ def test_manifest_contents(small_corpus):
     assert manifest["seed"] == 5
     assert manifest["outputs"] == [str(small_corpus)]
     assert "tool_version" in manifest and "duration_s" in manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--defense", "wr:3:50"],
+    ["split", "--strategy", "wr", "--boundary", "time", "--window-ms", "100"],
+])
+def test_timestamp_outside_int64_exits_1_with_line(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text(
+        '{"label": "class-000", "monitored": true, "packets": [[0, 100]]}\n'
+        f'{{"label": "class-001", "monitored": true, "packets": [[0, 100], [{2**70}, -9]]}}\n'
+    )
+    code = run([argv[0], "-i", str(bad), *argv[1:], "-o", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2") and "int64" in err
+
+
+def test_csv_trace_id_reappearing_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "trace_id,label,monitored,timestamp_us,signed_size\n"
+        "0,class-000,true,0,100\n"
+        "1,class-001,true,0,100\n"
+        "0,class-000,true,5,-100\n"
+    )
+    code = run(["split", "-i", str(bad), "--strategy", "rr",
+                "-o", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert "line 4" in capsys.readouterr().err
+
+
+def _drop_seed(manifest):
+    del manifest["config"]["seed"]
+    return manifest
+
+
+def _drop_config(manifest):
+    del manifest["config"]
+    return manifest
+
+
+def _old_version(manifest):
+    manifest["tool_version"] = "0.0.9"
+    return manifest
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda manifest: [manifest], "not a JSON object"),
+    (_drop_config, "config"),
+    (_drop_seed, "lacks seed"),
+    (_old_version, "0.0.9"),
+])
+def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, message):
+    path = str(small_corpus) + ".manifest.json"
+    with open(path) as fh:
+        manifest = json.load(fh)
+    bad = tmp_path / "bad.manifest.json"
+    bad.write_text(json.dumps(mutate(manifest)))
+    capsys.readouterr()
+    assert run(["replay", str(bad), "-o", str(tmp_path / "again.ndjson")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err

@@ -16,12 +16,12 @@ from pathsplit.traces import Direction, Packet, Trace
 
 def uniform_trace(n, gap_us=1000, label="class-000"):
     packets = tuple(Packet(i * gap_us, Direction.OUTGOING, 100) for i in range(n))
-    return Trace(packets, label, True)
+    return Trace.from_packets(packets, label, True)
 
 
 def timed_trace(times_us):
     packets = tuple(Packet(t, Direction.OUTGOING, 100) for t in times_us)
-    return Trace(packets, "class-000", True)
+    return Trace.from_packets(packets, "class-000", True)
 
 
 def cfg(**kw):
@@ -36,7 +36,7 @@ def cfg(**kw):
 
 def test_round_robin_packet_batches():
     a = schedule(uniform_trace(8), cfg())
-    assert a.path_per_packet == (0, 0, 1, 1, 2, 2, 0, 0)
+    assert a.path_per_packet.tolist() == [0, 0, 1, 1, 2, 2, 0, 0]
 
 
 def test_round_robin_cycles_by_batch():
@@ -47,7 +47,7 @@ def test_round_robin_cycles_by_batch():
 
 def test_round_robin_offset():
     a = schedule(uniform_trace(4), cfg(rr_offset=2, batch_packets=2))
-    assert a.path_per_packet == (2, 2, 0, 0)
+    assert a.path_per_packet.tolist() == [2, 2, 0, 0]
 
 
 def test_round_robin_time_windows_use_absolute_index():
@@ -55,7 +55,7 @@ def test_round_robin_time_windows_use_absolute_index():
     trace = timed_trace([0, 50_000, 120_000, 260_000])
     a = schedule(trace, cfg(n_paths=2, boundary=BoundaryMode.TIME_WINDOW,
                             window_us=100_000))
-    assert a.path_per_packet == (0, 0, 1, 0)
+    assert a.path_per_packet.tolist() == [0, 0, 1, 0]
 
 
 def test_window_boundary_tie_belongs_to_new_window():
@@ -63,11 +63,11 @@ def test_window_boundary_tie_belongs_to_new_window():
     trace = timed_trace([0, 100_000])
     a = schedule(trace, cfg(n_paths=2, boundary=BoundaryMode.TIME_WINDOW,
                             window_us=100_000))
-    assert a.path_per_packet == (0, 1)
+    assert a.path_per_packet.tolist() == [0, 1]
     trace = timed_trace([0, 99_999])
     a = schedule(trace, cfg(n_paths=2, boundary=BoundaryMode.TIME_WINDOW,
                             window_us=100_000))
-    assert a.path_per_packet == (0, 0)
+    assert a.path_per_packet.tolist() == [0, 0]
 
 
 # --- uniform random
@@ -133,12 +133,12 @@ def test_dirichlet_moments_match_analytic():
 
 def test_context_dependent_basic():
     a = schedule_context_dependent(uniform_trace(10), 4, vpn_path=0, direct_path=1)
-    assert a.path_per_packet == (0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
+    assert a.path_per_packet.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
 
 
 def test_context_dependent_short_trace_stays_on_vpn():
     a = schedule_context_dependent(uniform_trace(3), 4, vpn_path=0, direct_path=1)
-    assert a.path_per_packet == (0, 0, 0)
+    assert a.path_per_packet.tolist() == [0, 0, 0]
 
 
 def test_context_dependent_single_switch():
@@ -153,7 +153,7 @@ def test_schedule_dispatches_context_strategy():
     config = cfg(strategy=Strategy.CONTEXT_DEPENDENT, n_paths=2,
                  handshake_packets=3)
     a = schedule(uniform_trace(5), config)
-    assert a.path_per_packet == (0, 0, 0, 1, 1)
+    assert a.path_per_packet.tolist() == [0, 0, 0, 1, 1]
 
 
 # --- shared properties
@@ -199,7 +199,7 @@ def test_assignment_indices_in_range():
 
 def test_empty_trace_rejected():
     with pytest.raises(ValueError, match="empty"):
-        schedule(Trace((), "class-000", True), cfg())
+        schedule(Trace.from_packets((), "class-000", True), cfg())
 
 
 def test_config_validation():

@@ -25,7 +25,7 @@ def mk_trace(pairs, label="class-000", monitored=True):
         Packet(ts, Direction.OUTGOING if s > 0 else Direction.INCOMING, abs(s))
         for ts, s in pairs
     )
-    return Trace(packets, label, monitored)
+    return Trace.from_packets(packets, label, monitored)
 
 
 def test_even_round_robin_partition():
@@ -92,9 +92,9 @@ def test_merge_inverts_split_on_random_pairs():
 def test_merge_single_nonempty_subtrace():
     trace = mk_trace([(0, 100), (10, -50)])
     subs = [
-        SubTrace(0, trace.packets, trace.label, trace.monitored),
-        SubTrace(1, (), trace.label, trace.monitored),
-        SubTrace(2, (), trace.label, trace.monitored),
+        SubTrace(0, trace),
+        SubTrace(1, Trace.from_packets((), trace.label, trace.monitored)),
+        SubTrace(2, Trace.from_packets((), trace.label, trace.monitored)),
     ]
     assert merge(subs) == trace
 

@@ -22,7 +22,7 @@ def mk_trace(pairs, label="class-000", monitored=True):
         Packet(ts, Direction.OUTGOING if s > 0 else Direction.INCOMING, abs(s))
         for ts, s in pairs
     )
-    return Trace(packets, label, monitored)
+    return Trace.from_packets(packets, label, monitored)
 
 
 def write_ndjson(path, records):
@@ -160,7 +160,7 @@ def test_round_trip_unicode_labels(tmp_path, fmt):
 
 
 def test_save_rejects_empty_trace(tmp_path):
-    ds = Dataset.from_traces([Trace((), "class-000", True)])
+    ds = Dataset.from_traces([Trace.from_packets((), "class-000", True)])
     with pytest.raises(ValueError, match="no packets"):
         save_dataset(ds, tmp_path / "d.ndjson", "ndjson")
 
@@ -224,3 +224,62 @@ def test_filter_direction():
     incoming = filter_direction(t, Direction.INCOMING)
     assert [p.signed_size for p in incoming.packets] == [-200, -80]
     assert out.label == t.label and out.monitored == t.monitored
+
+
+def test_trace_columns_are_validated_and_read_only():
+    t = Trace([0, 5], [100, -200], "class-000", True)
+    assert t.times_us.dtype == t.signed_size.dtype == "int64"
+    with pytest.raises(ValueError):
+        t.times_us[0] = 1
+    with pytest.raises(ValueError, match="negative"):
+        Trace([-1, 5], [100, -200], "class-000", True)
+    with pytest.raises(ValueError, match="non-zero"):
+        Trace([0, 5], [100, 0], "class-000", True)
+    with pytest.raises(ValueError, match="sizes"):
+        Trace([0, 5], [100], "class-000", True)
+
+
+def test_csv_rejects_trace_id_that_reappears(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text(
+        "trace_id,label,monitored,timestamp_us,signed_size\n"
+        "0,class-000,true,0,100\n"
+        "1,class-001,true,0,100\n"
+        "\n"
+        "0,class-000,true,5,-100\n"
+    )
+    with pytest.raises(DatasetFormatError, match="line 5.*'0' reappears"):
+        load_dataset(f, "csv")
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70])
+def test_loaders_reject_values_outside_int64_with_line(tmp_path, value):
+    f = tmp_path / "d.ndjson"
+    write_ndjson(f, [
+        {"label": "class-000", "monitored": True, "packets": [[0, 100]]},
+        {"label": "class-001", "monitored": True, "packets": [[0, 100], [value, -5]]},
+    ])
+    with pytest.raises(DatasetFormatError, match="line 2.*int64"):
+        load_dataset(f, "ndjson")
+    f = tmp_path / "d.csv"
+    f.write_text(
+        "trace_id,label,monitored,timestamp_us,signed_size\n"
+        "0,class-000,true,0,100\n"
+        f"0,class-000,true,5,{value}\n"
+    )
+    with pytest.raises(DatasetFormatError, match="line 3.*signed_size.*int64"):
+        load_dataset(f, "csv")
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_loaders_reject_timestamp_span_beyond_int64(tmp_path, fmt):
+    traces = [mk_trace([(0, 100)]), mk_trace([(0, 100), (2**62, -5)])]
+    f = tmp_path / f"d.{fmt}"
+    save_dataset(Dataset.from_traces(traces), f, fmt)
+    text = f.read_text().replace(str(2**62), str(2**63 - 1))
+    text = text.replace("[[0,100],[", f"[[{-2**62},100],[", 2)
+    text = text.replace("1,class-000,true,0,", f"1,class-000,true,{-2**62},")
+    f.write_text(text)
+    line = 2 if fmt == "ndjson" else 3
+    with pytest.raises(DatasetFormatError, match=f"line {line}.*span.*int64"):
+        load_dataset(f, fmt)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pathsplit.scheduler import SchedulerConfig, Strategy
+from pathsplit.splitter import split_dataset
 from pathsplit.traces import (
     Dataset,
     Direction,
@@ -9,6 +10,8 @@ from pathsplit.traces import (
     Trace,
     UNMONITORED_LABEL,
     generate_synthetic,
+    load_dataset,
+    save_dataset,
 )
 from pathsplit.wf_eval import (
     ConfusionCounts,
@@ -29,7 +32,7 @@ def mk_trace(pairs, label="class-000", monitored=True):
         Packet(ts, Direction.OUTGOING if s > 0 else Direction.INCOMING, abs(s))
         for ts, s in pairs
     )
-    return Trace(packets, label, monitored)
+    return Trace.from_packets(packets, label, monitored)
 
 
 def flat_trace(n, size=100, gap=1000, label="class-000", monitored=True):
@@ -40,7 +43,7 @@ def flat_trace(n, size=100, gap=1000, label="class-000", monitored=True):
 
 
 def test_empty_trace_yields_zero_vector():
-    vec = extract_features(Trace((), "class-000", True))
+    vec = extract_features(Trace.from_packets((), "class-000", True))
     assert vec.shape == (FEATURE_DIM,)
     assert not vec.any()
 
@@ -165,7 +168,7 @@ def test_far_query_rejected_as_unmonitored():
 
 def test_empty_trace_classified_unmonitored():
     model = train_classifier(separable_dataset())
-    assert classify(model, Trace((), "class-000", True)) == UNMONITORED_LABEL
+    assert classify(model, Trace.from_packets((), "class-000", True)) == UNMONITORED_LABEL
 
 
 def test_plurality_vote_two_against_one():
@@ -291,7 +294,7 @@ def test_transform_hook_composes_with_splitting():
     def pad_sizes(trace):
         packets = tuple(Packet(p.timestamp_us, p.direction, 1500)
                         for p in trace.packets)
-        return Trace(packets, trace.label, trace.monitored)
+        return Trace.from_packets(packets, trace.label, trace.monitored)
 
     ds = generate_synthetic(10, 12, 60, seed=5)
     config = SchedulerConfig(n_paths=3, strategy=Strategy.WEIGHTED_RANDOM,
@@ -315,3 +318,30 @@ def test_report_json_shape():
     payload = report.to_json_dict()
     assert sorted(payload) == ["f1", "fpr", "r", "r_precision", "recall",
                                "tpr", "wpr"]
+
+
+def test_size_histogram_matches_numpy_histogram():
+    sizes = [1, 64, 149, 150, 151, 299, 300, 1349, 1350, 1499, 1500, 1501, 9000]
+    trace = mk_trace([(i, s if i % 2 else -s) for i, s in enumerate(sizes)])
+    reference, _ = np.histogram(np.clip(sizes, 0, 1500.0), bins=10, range=(0.0, 1500.0))
+    assert np.array_equal(extract_features(trace)[-10:], reference / len(sizes))
+
+
+def test_load_split_evaluate_build_no_packet_objects(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a Packet was built")
+
+    monkeypatch.setattr(Packet, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        Packet(0, Direction.OUTGOING, 1)
+    corpus = generate_synthetic(4, 10, 20, seed=2)
+    config = SchedulerConfig(n_paths=3, strategy=Strategy.WEIGHTED_RANDOM,
+                             batch_packets=20, seed=1)
+    for fmt in ("ndjson", "csv"):
+        path = tmp_path / f"d.{fmt}"
+        save_dataset(corpus, path, fmt)
+        dataset = load_dataset(path, fmt)
+        assert dataset.traces == corpus.traces
+        assert len(split_dataset(dataset, config)) >= len(dataset)
+        report = evaluate_defense(dataset, config, seed=1)
+        assert 0.0 <= report.f1 <= 1.0
