@@ -220,7 +220,7 @@ class Trace:
 
     @property
     def total_bytes(self) -> int:
-        return int(np.abs(self.signed_size).sum())
+        return sum(map(abs, self.signed_size.tolist()))  # exact: no int64 wrap
 
 
 @dataclass(frozen=True)
@@ -515,7 +515,10 @@ def _check_span(trace: str | None, low: int, high: int, line: int) -> None:
         )
 
 
-_CSV_BLOCK_ROWS = 8192  # rows held as Python lists at a time
+# Rows held as Python lists at a time. Small blocks keep few of those lists
+# alive, which saves memory and cyclic-GC passes; 256 was fastest on the
+# 128k-row benchmark corpus.
+_CSV_BLOCK_ROWS = 256
 
 
 def _csv_columns(reader):

@@ -5,7 +5,13 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathsplit.scheduler import BoundaryMode, PathAssignment, SchedulerConfig, Strategy, schedule
+from pathsplit.scheduler import (
+    BoundaryMode,
+    PathAssignment,
+    SchedulerConfig,
+    Strategy,
+    schedule,
+)
 from pathsplit.splitter import merge, split
 from pathsplit.traces import (
     INT64_MAX,
@@ -43,7 +49,8 @@ def increasing_traces(draw):
     return Trace(np.asarray(times) - times[0], signed, "class-000", True)
 
 
-@given(traces=st.lists(raw_traces(), max_size=4), fmt=st.sampled_from(["ndjson", "csv"]))
+@given(traces=st.lists(raw_traces(), max_size=4),
+       fmt=st.sampled_from(["ndjson", "csv"]))
 def test_load_of_save_is_normalize(tmp_path_factory, traces, fmt):
     path = tmp_path_factory.mktemp("rt") / f"d.{fmt}"
     save_dataset(Dataset.from_traces(traces), path, fmt)
@@ -61,7 +68,8 @@ def test_merge_inverts_split_and_conserves(trace, data):
     assert sum(len(s.trace) for s in subs) == len(trace)
     assert sum(s.trace.total_bytes for s in subs) == trace.total_bytes
     for s in subs:
-        assert (s.trace.times_us == trace.times_us[np.asarray(paths) == s.path_index]).all()
+        on_path = np.asarray(paths) == s.path_index
+        assert np.array_equal(s.trace.times_us, trace.times_us[on_path])
 
 
 @given(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pathsplit import traces as traces_module
 from pathsplit.traces import (
     Dataset,
     DatasetFormatError,
@@ -237,6 +238,7 @@ def test_trace_columns_are_validated_and_read_only():
         Trace([0, 5], [100, 0], "class-000", True)
     with pytest.raises(ValueError, match="sizes"):
         Trace([0, 5], [100], "class-000", True)
+    assert Trace([0, 1], [2**62, -(2**62)], "class-000", True).total_bytes == 2**63
 
 
 def test_csv_rejects_trace_id_that_reappears(tmp_path):
@@ -283,3 +285,24 @@ def test_loaders_reject_timestamp_span_beyond_int64(tmp_path, fmt):
     line = 2 if fmt == "ndjson" else 3
     with pytest.raises(DatasetFormatError, match=f"line {line}.*span.*int64"):
         load_dataset(f, fmt)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_csv_checks_hold_across_parse_blocks(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(traces_module, "_CSV_BLOCK_ROWS", block_rows)
+    ds = generate_synthetic(2, 2, 2, seed=1)
+    f = tmp_path / "d.csv"
+    save_dataset(ds, f, "csv")
+    assert load_dataset(f, "csv").traces == ds.traces
+    header = "trace_id,label,monitored,timestamp_us,signed_size\n"
+    f.write_text(header + "0,class-000,true,0,1\n0,class-000,true,1,1\n"
+                 "1,class-001,true,0,1\n0,class-000,true,2,1\n")
+    with pytest.raises(DatasetFormatError, match="line 5.*reappears"):
+        load_dataset(f, "csv")
+    f.write_text(header + "0,class-000,true,0,1\n0,class-000,true,1,1\n"
+                 "0,class-001,true,2,1\n")
+    with pytest.raises(DatasetFormatError, match="line 4.*mid-group"):
+        load_dataset(f, "csv")
+    f.write_text(header + "0,class-000,true,0,1\n0,class-000,TRUE,1,1\n"
+                 "1,class-001,true,0,1\n")
+    assert [len(t) for t in load_dataset(f, "csv").traces] == [2, 1]
