@@ -30,7 +30,7 @@ from .scheduler import (
     schedule,
     schedule_context_dependent,
 )
-from .splitter import SubTrace, merge, split, split_dataset
+from .splitter import merge, split, split_dataset
 from .wf_eval import (
     ConfusionCounts,
     EvalReport,
@@ -68,7 +68,6 @@ __all__ = [
     "SchedulerConfig",
     "SenderModel",
     "Strategy",
-    "SubTrace",
     "SweepPoint",
     "Trace",
     "UNMONITORED_LABEL",

@@ -81,12 +81,16 @@ def _parse_defense(spec: str, alpha: float, seed: int) -> SchedulerConfig | None
             kwargs["batch_packets"] = int(freq)
     except ValueError:
         raise UsageError(f"bad frequency {freq!r} in defense spec") from None
-    config = SchedulerConfig(**kwargs)
+    return _scheduler_config(**kwargs)
+
+
+def _scheduler_config(**kwargs) -> SchedulerConfig:
+    """Build a scheduler config from command-line values; a value the
+    config refuses is a usage error."""
     try:
-        config.validate()
+        return SchedulerConfig(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return config
 
 
 def _write_manifest(
@@ -137,7 +141,7 @@ def run_split(config: dict) -> None:
     started = time.monotonic()
     dataset = load_dataset(config["input"], config["input_format"])
     scheduler_config = SchedulerConfig.from_dict(config["scheduler"])
-    out = split_dataset(dataset, scheduler_config, drop_empty=True)
+    out = split_dataset(dataset, scheduler_config)
     save_dataset(out, config["output"], config["format"])
     _write_manifest(
         config["output"], "split", config, scheduler_config.seed,
@@ -257,7 +261,12 @@ def run_replay(manifest_path: str, output_override: str | None) -> None:
         raise ValueError(
             f"manifest config for {subcommand} lacks {', '.join(missing)}"
         )
-    runner(config)
+    try:
+        runner(config)
+    except TypeError as exc:
+        raise ValueError(
+            f"manifest config for {subcommand} has a value of the wrong type: {exc}"
+        ) from None
 
 
 # --- argument parsing
@@ -351,7 +360,7 @@ def _dispatch(args: argparse.Namespace) -> None:
             raise UsageError("--boundary time requires --window-ms")
         if args.boundary == "packets" and args.window_ms is not None:
             raise UsageError("--window-ms requires --boundary time")
-        scheduler = SchedulerConfig(
+        scheduler = _scheduler_config(
             n_paths=args.paths,
             strategy=Strategy(args.strategy),
             boundary=BoundaryMode.TIME_WINDOW
@@ -366,10 +375,6 @@ def _dispatch(args: argparse.Namespace) -> None:
             rr_offset=args.rr_offset,
             seed=args.seed,
         )
-        try:
-            scheduler.validate()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         run_split(
             {
                 "input": args.input,

@@ -54,6 +54,9 @@ class PathModel:
     bandwidth_bytes_per_s: int = 1_250_000  # 10 Mbit/s
     loss_rate: float = 0.0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.rtt_us < 1:
             raise ValueError(f"rtt_us must be >= 1, got {self.rtt_us}")
@@ -71,6 +74,9 @@ class SenderModel:
     initial_cwnd_packets: int = 10
     mss_bytes: int = 1500
     validation_cache: bool = False
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.initial_cwnd_packets < 1:
@@ -180,9 +186,6 @@ def simulate_transfer(
     the unswitched baseline on the same paths and seed."""
     if not paths:
         raise ValueError("need at least one path")
-    for path in paths:
-        path.validate()
-    sender.validate()
     if switch_period_us is not None and switch_period_us < 1:
         raise ValueError(f"switch_period_us must be >= 1, got {switch_period_us}")
     if total_bytes < sender.mss_bytes:

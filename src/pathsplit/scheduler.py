@@ -24,7 +24,7 @@ sequence, the config, and the (seed, trace index) stream.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -61,6 +61,9 @@ class SchedulerConfig:
     rr_offset: int = 0
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.n_paths < 2:
             raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
@@ -87,46 +90,21 @@ class SchedulerConfig:
             raise ValueError(f"rr_offset {self.rr_offset} out of range")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_paths": self.n_paths,
-            "strategy": self.strategy.value,
-            "boundary": self.boundary.value,
-            "batch_packets": self.batch_packets,
-            "window_us": self.window_us,
-            "dirichlet_alpha": self.dirichlet_alpha,
-            "handshake_packets": self.handshake_packets,
-            "vpn_path": self.vpn_path,
-            "direct_path": self.direct_path,
-            "rr_offset": self.rr_offset,
-            "seed": self.seed,
-        }
+        """The fields by name, enums as their values."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.value if isinstance(v, enum.Enum) else v for k, v in values.items()}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SchedulerConfig":
-        known = {
-            "n_paths",
-            "strategy",
-            "boundary",
-            "batch_packets",
-            "window_us",
-            "dirichlet_alpha",
-            "handshake_packets",
-            "vpn_path",
-            "direct_path",
-            "rr_offset",
-            "seed",
-        }
-        unknown = sorted(set(data) - known)
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = sorted(set(data) - set(defaults))
         if unknown:
             raise ValueError(f"unknown scheduler config field(s): {', '.join(unknown)}")
-        kwargs = dict(data)
-        if "strategy" in kwargs:
-            kwargs["strategy"] = Strategy(kwargs["strategy"])
-        if "boundary" in kwargs:
-            kwargs["boundary"] = BoundaryMode(kwargs["boundary"])
-        config = cls(**kwargs)
-        config.validate()
-        return config
+        return cls(**{
+            name: type(defaults[name])(value)
+            if isinstance(defaults[name], enum.Enum) else value
+            for name, value in data.items()
+        })
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +158,6 @@ def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> Pat
     the stream named by (config.seed, trace_index) so traces of a dataset
     are independent and the whole dataset is reproducible.
     """
-    config.validate()
     if not len(trace):
         raise ValueError("cannot schedule an empty trace")
     if config.strategy is Strategy.CONTEXT_DEPENDENT:
@@ -232,16 +209,12 @@ def schedule_context_dependent(
     Traces shorter than the handshake stay entirely on the tunneled path;
     otherwise there is exactly one path switch.
     """
-    if handshake_packets < 1:
-        raise ValueError(f"handshake_packets must be >= 1, got {handshake_packets}")
-    if vpn_path == direct_path:
-        raise ValueError("vpn_path and direct_path must differ")
-    if vpn_path < 0 or direct_path < 0:
-        raise ValueError("path indices must be non-negative")
     if n_paths is None:
-        n_paths = max(vpn_path, direct_path) + 1
-    if n_paths <= max(vpn_path, direct_path):
-        raise ValueError("n_paths too small for the given path indices")
+        # at least 2, so that equal path indices fail on their own check
+        n_paths = max(vpn_path, direct_path, 1) + 1
+    SchedulerConfig(n_paths=n_paths, strategy=Strategy.CONTEXT_DEPENDENT,
+                    handshake_packets=handshake_packets, vpn_path=vpn_path,
+                    direct_path=direct_path)  # checks the arguments
     paths = np.full(len(trace), direct_path, dtype=np.int64)
     paths[:handshake_packets] = vpn_path
     return PathAssignment(paths, n_paths)

@@ -19,7 +19,7 @@ with r the expected ratio of unmonitored to monitored visits (default
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ def extract_features(trace: Trace) -> np.ndarray:
         return vec
     times = trace.times_us
     signed = trace.signed_size
-    sizes = np.abs(signed)
+    sizes = np.abs(signed.astype(np.float64))  # no int64 wrap of |-2**63| or sums
     signs = np.sign(signed)
     rel = times - times[0]
     out_mask = signed > 0
@@ -59,8 +59,8 @@ def extract_features(trace: Trace) -> np.ndarray:
     vec[0] = n
     vec[1] = int(out_mask.sum())
     vec[2] = n - vec[1]
-    vec[3] = int(sizes.sum())
-    vec[4] = int(sizes[out_mask].sum())
+    vec[3] = sizes.sum()
+    vec[4] = sizes[out_mask].sum()
     vec[5] = vec[3] - vec[4]
     vec[6] = int(rel[-1])
     vec[7] = rel[-1] / (n - 1) if n > 1 else 0.0
@@ -71,7 +71,8 @@ def extract_features(trace: Trace) -> np.ndarray:
 
     # bins of width 150 B over [0, 1500]; 1500 B and larger fall in the last
     hist = np.bincount(
-        np.minimum(sizes // _HIST_BIN_WIDTH, _HIST_BINS - 1), minlength=_HIST_BINS
+        np.minimum(sizes // _HIST_BIN_WIDTH, _HIST_BINS - 1).astype(np.int64),
+        minlength=_HIST_BINS,
     )
     vec[_SCALARS + _FIRST_SIGNS :] = hist / n
     return vec
@@ -249,15 +250,7 @@ class EvalReport:
     f1: float
 
     def to_json_dict(self) -> dict[str, float]:
-        return {
-            "tpr": self.tpr,
-            "wpr": self.wpr,
-            "fpr": self.fpr,
-            "r": self.r,
-            "r_precision": self.r_precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        return asdict(self)
 
 
 def f1_score(r_precision: float, recall: float) -> float:
@@ -316,15 +309,15 @@ def evaluate_defense(
     k: int = 3,
     threshold_quantile: float = 0.95,
     r: float = 20.0,
-    drop_empty: bool = True,
     transform: Callable[[Trace], Trace] | None = None,
 ) -> EvalReport:
     """Run the full attack against an optionally defended dataset.
 
     Parent traces are 9:1-split first so all subtraces of one fetch stay
     on the same side (no leakage across train/test); each side is then
-    split per the scheduler config, the classifier trains on the train
-    subtraces, and test subtraces are scored individually. Fully
+    split per the scheduler config (empty subtraces dropped), the
+    classifier trains on the train subtraces, and test subtraces are
+    scored individually. Fully
     deterministic under (dataset, config, seed).
 
     `transform` composes another defense with splitting: it is applied to
@@ -343,10 +336,7 @@ def evaluate_defense(
                 rows.append(trace)
                 continue
             assignment = schedule(trace, scheduler_config, trace_index=i)
-            for sub in split(trace, assignment):
-                if drop_empty and not len(sub.trace):
-                    continue
-                rows.append(sub.to_trace())
+            rows.extend(sub for sub in split(trace, assignment) if len(sub))
         return rows
 
     train_rows = expand(train_idx)

@@ -224,11 +224,30 @@ def _old_version(manifest):
     return manifest
 
 
+def _null_classes(manifest):
+    manifest["config"]["classes"] = None
+    return manifest
+
+
+def _string_path_count(manifest):
+    # an evaluate of the generated corpus whose path count is a string
+    manifest["subcommand"] = "evaluate"
+    manifest["config"] = {
+        "input": manifest["config"]["output"], "input_format": "ndjson",
+        "scheduler": {"n_paths": "3", "strategy": "wr", "batch_packets": 50},
+        "seed": 0, "k": 3, "threshold_quantile": 0.95, "r": 20.0,
+        "output": "unused.json",
+    }
+    return manifest
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda manifest: [manifest], "not a JSON object"),
     (_drop_config, "config"),
     (_drop_seed, "lacks seed"),
     (_old_version, "0.0.9"),
+    (_null_classes, "generate has a value of the wrong type"),
+    (_string_path_count, "evaluate has a value of the wrong type"),
 ])
 def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, message):
     path = str(small_corpus) + ".manifest.json"

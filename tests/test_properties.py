@@ -65,11 +65,11 @@ def test_merge_inverts_split_and_conserves(trace, data):
                                min_size=len(trace), max_size=len(trace)))
     subs = split(trace, PathAssignment(paths, n_paths))
     assert merge(subs) == trace
-    assert sum(len(s.trace) for s in subs) == len(trace)
-    assert sum(s.trace.total_bytes for s in subs) == trace.total_bytes
-    for s in subs:
-        on_path = np.asarray(paths) == s.path_index
-        assert np.array_equal(s.trace.times_us, trace.times_us[on_path])
+    assert sum(len(s) for s in subs) == len(trace)
+    assert sum(s.total_bytes for s in subs) == trace.total_bytes
+    for i, s in enumerate(subs):
+        on_path = np.asarray(paths) == i
+        assert np.array_equal(s.times_us, trace.times_us[on_path])
 
 
 @given(

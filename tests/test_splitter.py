@@ -9,7 +9,7 @@ from pathsplit.scheduler import (
     Strategy,
     schedule,
 )
-from pathsplit.splitter import SubTrace, merge, split, split_dataset
+from pathsplit.splitter import merge, split, split_dataset
 from pathsplit.traces import (
     Dataset,
     Direction,
@@ -17,6 +17,7 @@ from pathsplit.traces import (
     Trace,
     UNMONITORED_LABEL,
     generate_synthetic,
+    normalize_trace,
 )
 
 
@@ -62,7 +63,7 @@ def test_subtrace_keeps_parent_clock_and_can_rebase():
                              boundary=BoundaryMode.TIME_WINDOW, window_us=100_000)
     sub = split(trace, schedule(trace, config))[1]
     assert sub.packets[0].timestamp_us == 120_000  # parent clock by default
-    assert sub.to_trace(normalize=True).packets[0].timestamp_us == 0
+    assert normalize_trace(sub).packets[0].timestamp_us == 0
 
 
 def test_merge_inverts_split_on_random_pairs():
@@ -92,9 +93,9 @@ def test_merge_inverts_split_on_random_pairs():
 def test_merge_single_nonempty_subtrace():
     trace = mk_trace([(0, 100), (10, -50)])
     subs = [
-        SubTrace(0, trace),
-        SubTrace(1, Trace.from_packets((), trace.label, trace.monitored)),
-        SubTrace(2, Trace.from_packets((), trace.label, trace.monitored)),
+        trace,
+        Trace.from_packets((), trace.label, trace.monitored),
+        Trace.from_packets((), trace.label, trace.monitored),
     ]
     assert merge(subs) == trace
 
@@ -132,13 +133,13 @@ def test_split_dataset_triples_trace_count_when_no_empties():
 
 
 def test_split_dataset_keeps_empty_subtraces_on_request():
+    # split keeps a path's empty subtrace; split_dataset drops it
     ds = Dataset.from_traces([mk_trace([(0, 100)])])
     config = SchedulerConfig(n_paths=3, strategy=Strategy.ROUND_ROBIN,
                              batch_packets=50)
-    kept = split_dataset(ds, config, drop_empty=False)
-    assert len(kept) == 3
-    assert sum(1 for t in kept.traces if not t.packets) == 2
-    dropped = split_dataset(ds, config, drop_empty=True)
+    subs = split(ds.traces[0], schedule(ds.traces[0], config))
+    assert sum(1 for t in subs if not t.packets) == 2
+    dropped = split_dataset(ds, config)
     assert len(dropped) == 1
 
 

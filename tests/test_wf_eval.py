@@ -320,6 +320,14 @@ def test_report_json_shape():
                                "tpr", "wpr"]
 
 
+@pytest.mark.parametrize("sizes", [[2**62, 2**62], [-2**63]])
+def test_byte_features_do_not_wrap(sizes):
+    vec = extract_features(Trace(list(range(len(sizes))), sizes, "a", True))
+    assert vec[3] == 2.0**63                # bytes
+    assert vec[4] + vec[5] == 2.0**63       # outgoing + incoming bytes
+    assert vec[-1] == 1.0                   # every size in the top bin
+
+
 def test_size_histogram_matches_numpy_histogram():
     sizes = [1, 64, 149, 150, 151, 299, 300, 1349, 1350, 1499, 1500, 1501, 9000]
     trace = mk_trace([(i, s if i % 2 else -s) for i, s in enumerate(sizes)])
