@@ -28,7 +28,6 @@ from .scheduler import (
     Strategy,
     draw_connection_weights,
     schedule,
-    schedule_context_dependent,
 )
 from .splitter import merge, split, split_dataset
 from .wf_eval import (
@@ -85,7 +84,6 @@ __all__ = [
     "normalize_trace",
     "save_dataset",
     "schedule",
-    "schedule_context_dependent",
     "simulate_transfer",
     "split",
     "split_dataset",

@@ -81,16 +81,22 @@ def _parse_defense(spec: str, alpha: float, seed: int) -> SchedulerConfig | None
             kwargs["batch_packets"] = int(freq)
     except ValueError:
         raise UsageError(f"bad frequency {freq!r} in defense spec") from None
-    return _scheduler_config(**kwargs)
+    return _checked(SchedulerConfig, **kwargs)
 
 
-def _scheduler_config(**kwargs) -> SchedulerConfig:
-    """Build a scheduler config from command-line values; a value the
-    config refuses is a usage error."""
+def _checked(build, *args, **kwargs):
+    """Call build on values derived from flags; a value it refuses is a
+    usage error."""
     try:
-        return SchedulerConfig(**kwargs)
-    except ValueError as exc:
+        return build(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
         raise UsageError(str(exc)) from None
+
+
+def _require(ok: bool, message: str) -> None:
+    """Refuse a flag value up front that the run would refuse only late."""
+    if not ok:
+        raise UsageError(message)
 
 
 def _write_manifest(
@@ -181,28 +187,29 @@ def run_evaluate(config: dict) -> None:
     )
 
 
+def _sweep_args(config: dict) -> dict:
+    """The sweep_frequencies arguments an overhead config describes."""
+    path = PathModel(
+        rtt_us=config["rtt_ms"] * 1000,
+        bandwidth_bytes_per_s=int(config["bandwidth_mbps"] * 125_000),
+        loss_rate=config["loss"],
+    )
+    return {
+        "paths": [path] * config["paths"],
+        "sender": SenderModel(
+            protocol=Protocol(config["protocol"]),
+            validation_cache=config["validate_cache"],
+        ),
+        "periods_us": [p * 1000 for p in config["periods_ms"]],
+        "total_bytes": int(config["total_mb"] * 1_000_000),
+        "repetitions": config["reps"],
+        "seed": config["seed"],
+    }
+
+
 def run_overhead(config: dict) -> None:
     started = time.monotonic()
-    paths = [
-        PathModel(
-            rtt_us=config["rtt_ms"] * 1000,
-            bandwidth_bytes_per_s=int(config["bandwidth_mbps"] * 125_000),
-            loss_rate=config["loss"],
-        )
-        for _ in range(config["paths"])
-    ]
-    sender = SenderModel(
-        protocol=Protocol(config["protocol"]),
-        validation_cache=config["validate_cache"],
-    )
-    points = sweep_frequencies(
-        paths,
-        sender,
-        [p * 1000 for p in config["periods_ms"]],
-        total_bytes=int(config["total_mb"] * 1_000_000),
-        repetitions=config["reps"],
-        seed=config["seed"],
-    )
+    points = sweep_frequencies(**_sweep_args(config))
     atomic_write_text(config["output"], sweep_to_csv(points))
     _write_manifest(
         config["output"], "overhead", config, config["seed"], [],
@@ -360,12 +367,11 @@ def _dispatch(args: argparse.Namespace) -> None:
             raise UsageError("--boundary time requires --window-ms")
         if args.boundary == "packets" and args.window_ms is not None:
             raise UsageError("--window-ms requires --boundary time")
-        scheduler = _scheduler_config(
+        scheduler = _checked(
+            SchedulerConfig,
             n_paths=args.paths,
             strategy=Strategy(args.strategy),
-            boundary=BoundaryMode.TIME_WINDOW
-            if args.boundary == "time"
-            else BoundaryMode.PACKET_COUNT,
+            boundary=BoundaryMode(args.boundary),
             batch_packets=args.batch_packets,
             window_us=(args.window_ms or 100) * 1000,
             dirichlet_alpha=args.alpha,
@@ -386,6 +392,10 @@ def _dispatch(args: argparse.Namespace) -> None:
         )
     elif args.subcommand == "evaluate":
         scheduler = _parse_defense(args.defense, args.alpha, args.seed)
+        _require(args.k >= 1, f"--k must be >= 1, got {args.k}")
+        _require(0 < args.threshold_quantile <= 1,
+                 f"--threshold-quantile must be in (0, 1], got {args.threshold_quantile}")
+        _require(args.r > 0, f"--r must be positive, got {args.r}")
         run_evaluate(
             {
                 "input": args.input,
@@ -408,23 +418,28 @@ def _dispatch(args: argparse.Namespace) -> None:
             raise UsageError(
                 f"--periods must be a comma list of integers, got {args.periods!r}"
             ) from None
-        if not periods:
-            raise UsageError("--periods must name at least one period")
-        run_overhead(
-            {
-                "protocol": args.protocol,
-                "periods_ms": periods,
-                "reps": args.reps,
-                "paths": args.paths,
-                "rtt_ms": args.rtt_ms,
-                "bandwidth_mbps": args.bandwidth_mbps,
-                "loss": args.loss,
-                "total_mb": args.total_mb,
-                "validate_cache": args.validate_cache,
-                "seed": args.seed,
-                "output": args.output,
-            }
-        )
+        _require(min(periods, default=0) >= 1,
+                 f"--periods must name periods of at least 1 ms, got {args.periods!r}")
+        _require(args.reps >= 1, f"--reps must be >= 1, got {args.reps}")
+        _require(args.paths >= 1, f"--paths must be >= 1, got {args.paths}")
+        config = {
+            "protocol": args.protocol,
+            "periods_ms": periods,
+            "reps": args.reps,
+            "paths": args.paths,
+            "rtt_ms": args.rtt_ms,
+            "bandwidth_mbps": args.bandwidth_mbps,
+            "loss": args.loss,
+            "total_mb": args.total_mb,
+            "validate_cache": args.validate_cache,
+            "seed": args.seed,
+            "output": args.output,
+        }
+        sweep = _checked(_sweep_args, config)
+        mss = sweep["sender"].mss_bytes
+        _require(sweep["total_bytes"] >= mss,
+                 f"--total-mb must be at least one MSS ({mss} bytes)")
+        run_overhead(config)
     else:
         run_replay(args.manifest, args.output)
 

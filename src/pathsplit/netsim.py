@@ -55,9 +55,6 @@ class PathModel:
     loss_rate: float = 0.0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.rtt_us < 1:
             raise ValueError(f"rtt_us must be >= 1, got {self.rtt_us}")
         if self.bandwidth_bytes_per_s < 1:
@@ -76,9 +73,6 @@ class SenderModel:
     validation_cache: bool = False
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.initial_cwnd_packets < 1:
             raise ValueError("initial_cwnd_packets must be >= 1")
         if self.mss_bytes < 1:

@@ -62,9 +62,6 @@ class SchedulerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.n_paths < 2:
             raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
         if self.batch_packets < 1:
@@ -161,13 +158,11 @@ def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> Pat
     if not len(trace):
         raise ValueError("cannot schedule an empty trace")
     if config.strategy is Strategy.CONTEXT_DEPENDENT:
-        return schedule_context_dependent(
-            trace,
-            config.handshake_packets,
-            config.vpn_path,
-            config.direct_path,
-            n_paths=config.n_paths,
-        )
+        # the handshake rides the tunneled path, the rest the direct one;
+        # a trace no longer than the handshake never switches
+        paths = np.full(len(trace), config.direct_path, dtype=np.int64)
+        paths[:config.handshake_packets] = config.vpn_path
+        return PathAssignment(paths, config.n_paths)
 
     n = len(trace)
     rng = stream_rng(config.seed, _STREAM_SCHEDULE, trace_index)
@@ -195,26 +190,3 @@ def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> Pat
         config.n_paths,
         tuple(float(w) for w in weights) if weights is not None else None,
     )
-
-
-def schedule_context_dependent(
-    trace: Trace,
-    handshake_packets: int,
-    vpn_path: int = 0,
-    direct_path: int = 1,
-    n_paths: int | None = None,
-) -> PathAssignment:
-    """Handshake packets ride the tunneled path, the rest the direct one.
-
-    Traces shorter than the handshake stay entirely on the tunneled path;
-    otherwise there is exactly one path switch.
-    """
-    if n_paths is None:
-        # at least 2, so that equal path indices fail on their own check
-        n_paths = max(vpn_path, direct_path, 1) + 1
-    SchedulerConfig(n_paths=n_paths, strategy=Strategy.CONTEXT_DEPENDENT,
-                    handshake_packets=handshake_packets, vpn_path=vpn_path,
-                    direct_path=direct_path)  # checks the arguments
-    paths = np.full(len(trace), direct_path, dtype=np.int64)
-    paths[:handshake_packets] = vpn_path
-    return PathAssignment(paths, n_paths)

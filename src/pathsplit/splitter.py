@@ -66,9 +66,4 @@ def split_dataset(dataset: Dataset, config: SchedulerConfig) -> Dataset:
     for index, trace in enumerate(dataset.traces):
         assignment = schedule(trace, config, trace_index=index)
         out.extend(sub for sub in split(trace, assignment) if len(sub))
-    metadata = dict(dataset.metadata)
-    metadata["split"] = {
-        "config": config.to_dict(),
-        "parent_traces": len(dataset.traces),
-    }
-    return Dataset.from_traces(out, metadata)
+    return Dataset.from_traces(out)

@@ -25,10 +25,8 @@ are invalid, and every value must fit in int64. Loaders normalize every
 trace so its first packet sits at t=0 with packets stably sorted by
 timestamp, and reject unknown fields or columns by name. The label
 "unmonitored" is reserved: traces with monitored=false must carry it and
-monitored traces must not.
-
-Dataset ``metadata`` is in-memory bookkeeping only; neither format
-persists it.
+monitored traces must not. Building a :class:`Trace` checks the size,
+time and label rules; loaders parse and add the line to its refusal.
 """
 
 from __future__ import annotations
@@ -41,10 +39,10 @@ import math
 import os
 import tempfile
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter, ne
-from typing import Any, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -161,8 +159,8 @@ class Trace:
 
     Packets are expected to be sorted by timestamp; constructors in this
     module (loaders, generator, :func:`normalize_trace`) guarantee it.
-    Construction checks that timestamps are non-negative and sizes
-    non-zero.
+    Construction checks that timestamps are non-negative, sizes non-zero,
+    and that the label is "unmonitored" exactly when monitored is false.
     """
 
     times_us: np.ndarray
@@ -180,7 +178,10 @@ class Trace:
         if len(times) and times.min() < 0:
             raise ValueError(f"negative timestamp {times.min()}")
         if not sizes.all():
-            raise ValueError("packet size must be non-zero")
+            raise ValueError("zero-size packet; sizes must be non-zero")
+        misuse = _reserved_label_misuse(self.label, self.monitored)
+        if misuse:
+            raise ValueError(misuse)
         object.__setattr__(self, "times_us", times)
         object.__setattr__(self, "signed_size", sizes)
 
@@ -223,34 +224,28 @@ class Trace:
         return sum(map(abs, self.signed_size.tolist()))  # exact: no int64 wrap
 
 
+def _reserved_label_misuse(label: str, monitored: bool) -> str | None:
+    """Why (label, monitored) breaks the reserved-label rule, or None."""
+    if monitored and label == UNMONITORED_LABEL:
+        return f"monitored trace uses the reserved label {UNMONITORED_LABEL!r}"
+    if not monitored and label != UNMONITORED_LABEL:
+        return f"unmonitored trace labeled {label!r}; expected {UNMONITORED_LABEL!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A trace collection; monitored classes plus background traffic."""
 
     traces: tuple[Trace, ...]
-    monitored_class_count: int
-    metadata: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
-    def from_traces(
-        cls, traces: Iterable[Trace], metadata: dict[str, Any] | None = None
-    ) -> "Dataset":
-        traces = tuple(traces)
-        labels = set()
-        for i, trace in enumerate(traces):
-            if trace.monitored and trace.label == UNMONITORED_LABEL:
-                raise ValueError(
-                    f"trace {i} is monitored but uses the reserved label "
-                    f"{UNMONITORED_LABEL!r}"
-                )
-            if not trace.monitored and trace.label != UNMONITORED_LABEL:
-                raise ValueError(
-                    f"trace {i} is unmonitored but labeled {trace.label!r}; "
-                    f"expected the reserved label {UNMONITORED_LABEL!r}"
-                )
-            if trace.monitored:
-                labels.add(trace.label)
-        return cls(traces, len(labels), dict(metadata or {}))
+    def from_traces(cls, traces: Iterable[Trace]) -> "Dataset":
+        return cls(tuple(traces))
+
+    @property
+    def monitored_class_count(self) -> int:
+        return len({t.label for t in self.traces if t.monitored})
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -292,8 +287,8 @@ def load_dataset(path, fmt: str = "ndjson") -> Dataset:
     """Load a dataset file, normalizing and sorting every trace.
 
     Raises DatasetFormatError with the offending line number on malformed
-    input, unknown fields/columns, zero-size packets, values outside int64,
-    empty traces, or a csv trace_id that reappears after another id.
+    input, unknown fields/columns, values outside int64, empty traces, a
+    reappearing csv trace_id, or a trace that :class:`Trace` refuses.
     """
     _check_format(fmt)
     if fmt == "ndjson":
@@ -339,24 +334,17 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-def _check_reserved_label(label: str, monitored: bool, line: int) -> None:
-    if monitored and label == UNMONITORED_LABEL:
-        raise DatasetFormatError(
-            f"monitored trace uses the reserved label {UNMONITORED_LABEL!r}", line
-        )
-    if not monitored and label != UNMONITORED_LABEL:
-        raise DatasetFormatError(
-            f"unmonitored trace labeled {label!r}; expected {UNMONITORED_LABEL!r}",
-            line,
-        )
-
-
 def _rebased(
     times: np.ndarray, sizes: np.ndarray, label: str, monitored: bool
 ) -> Trace:
-    """One trace read from a file, stably sorted and shifted to start at 0."""
+    """A non-empty trace read from a file, stably sorted and rebased to 0."""
     times, sizes = _stable_sorted(times, sizes)
-    return Trace(times - times[0], np.ascontiguousarray(sizes), label, monitored)
+    rel = times - times[0]  # array arithmetic: wraps without a warning
+    if rel[-1] < 0:  # max - min wrapped: the span exceeds int64
+        raise ValueError(
+            f"timestamps of trace {label!r} span more than the int64 range"
+        )
+    return Trace(rel, np.ascontiguousarray(sizes), label, monitored)
 
 
 def _in_int64(value: int) -> bool:
@@ -430,15 +418,12 @@ def _read_ndjson(path) -> list[Trace]:
             if not isinstance(packets, list):
                 raise DatasetFormatError("packets must be a list", lineno)
             times, sizes = _ndjson_columns(packets, lineno)
-            _check_reserved_label(label, monitored, lineno)
             if not len(times):
                 raise DatasetFormatError(f"empty trace (label {label!r})", lineno)
-            if not sizes.all():
-                raise DatasetFormatError(
-                    f"zero-size packet in trace {label!r}", lineno
-                )
-            _check_span(label, int(times.min()), int(times.max()), lineno)
-            traces.append(_rebased(times, sizes, label, monitored))
+            try:
+                traces.append(_rebased(times, sizes, label, monitored))
+            except ValueError as exc:
+                raise DatasetFormatError(str(exc), lineno) from None
     return traces
 
 
@@ -466,8 +451,8 @@ def _parse_int(value: str, column: str, line: int) -> int:
 def _check_csv_rows(path) -> None:
     """Re-read a csv dataset row by row; raise at the first faulty row.
 
-    The loader makes the same checks column by column and calls this only
-    when one of them fails, to name the line.
+    The loader calls this only after parsing or building a trace failed,
+    to name the line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -487,7 +472,9 @@ def _check_csv_rows(path) -> None:
             ts = _parse_int(ts_s, "timestamp_us", lineno)
             if _parse_int(size_s, "signed_size", lineno) == 0:
                 raise DatasetFormatError(f"zero-size packet in trace {tid!r}", lineno)
-            _check_reserved_label(row_label, row_monitored, lineno)
+            misuse = _reserved_label_misuse(row_label, row_monitored)
+            if misuse:
+                raise DatasetFormatError(misuse, lineno)
             if tid != current_id:
                 _check_span(current_id, low, high, start)
                 if tid in seen:
@@ -522,11 +509,12 @@ _CSV_BLOCK_ROWS = 256
 
 
 def _csv_columns(reader):
-    """Parse csv rows a block at a time, checking them column by column.
+    """Parse csv rows a block at a time, column by column.
 
     Returns the first row index of each trace, each trace's (trace_id,
-    label, monitored), and the timestamp and size columns; None if any
-    check fails.
+    label, monitored), and the timestamp and size columns; None if a row
+    does not parse, a label or monitored flag changes inside a trace, or a
+    trace_id reappears.
     """
     starts: list[int] = []
     heads: list[tuple[str, str, bool]] = []
@@ -562,16 +550,7 @@ def _csv_columns(reader):
         return [], [], np.zeros(0, np.int64), np.zeros(0, np.int64)
     if len({tid for tid, _, _ in heads}) != len(heads):
         return None  # a trace_id reappears after another one
-    if any(monitored == (label == UNMONITORED_LABEL) for _, label, monitored in heads):
-        return None
-    times, sizes = np.concatenate(time_blocks), np.concatenate(size_blocks)
-    if not sizes.all():
-        return None
-    # max - min per trace wraps below zero exactly when it exceeds int64
-    spans = np.maximum.reduceat(times, starts) - np.minimum.reduceat(times, starts)
-    if (spans < 0).any():
-        return None
-    return starts, heads, times, sizes
+    return starts, heads, np.concatenate(time_blocks), np.concatenate(size_blocks)
 
 
 def _changes(column: list, previous, offset: int) -> list[int]:
@@ -596,14 +575,19 @@ def _read_csv(path) -> list[Trace]:
                 f"header must be exactly {','.join(CSV_COLUMNS)}", 1
             )
         parsed = _csv_columns(reader)
-    if parsed is None:
-        _check_csv_rows(path)
-    starts, heads, times, sizes = parsed
-    ends = starts[1:] + [len(times)]
-    return [
-        _rebased(times[s:e], sizes[s:e], label, monitored)
-        for s, e, (_, label, monitored) in zip(starts, ends, heads)
-    ]
+    message = "malformed csv dataset"
+    if parsed is not None:
+        starts, heads, times, sizes = parsed
+        ends = starts[1:] + [len(times)]
+        try:
+            return [
+                _rebased(times[s:e], sizes[s:e], label, monitored)
+                for s, e, (_, label, monitored) in zip(starts, ends, heads)
+            ]
+        except ValueError as exc:
+            message = str(exc)
+    _check_csv_rows(path)  # names the faulty line
+    raise DatasetFormatError(message)
 
 
 def _to_ndjson(dataset: Dataset) -> str:
@@ -766,12 +750,4 @@ def generate_synthetic(
             _synth_trace(rng, UNMONITORED_LABEL, False, count, burst_base, out_mu, in_mu)
         )
 
-    metadata = {
-        "generator": {
-            "classes": classes,
-            "traces_per_class": traces_per_class,
-            "unmonitored_count": unmonitored_count,
-            "seed": seed,
-        }
-    }
-    return Dataset.from_traces(traces, metadata)
+    return Dataset.from_traces(traces)

@@ -108,10 +108,8 @@ def split_indices(dataset: Dataset, seed: int) -> tuple[list[int], list[int]]:
 def train_test_split(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic stratified 9:1 split into disjoint train/test sets."""
     train_idx, test_idx = split_indices(dataset, seed)
-    train = Dataset.from_traces(
-        (dataset.traces[i] for i in train_idx), dataset.metadata
-    )
-    test = Dataset.from_traces((dataset.traces[i] for i in test_idx), dataset.metadata)
+    train = Dataset.from_traces(dataset.traces[i] for i in train_idx)
+    test = Dataset.from_traces(dataset.traces[i] for i in test_idx)
     return train, test
 
 

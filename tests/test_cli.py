@@ -23,7 +23,7 @@ def test_generate_trace_count_matches_flags(tmp_path):
     code = run(["generate", "--classes", "20", "--per-class", "30",
                 "--unmonitored", "200", "--seed", "7", "-o", str(out)])
     assert code == 0
-    assert sum(1 for _ in out.open()) == 800
+    assert out.read_text().count("\n") == 800
     assert (tmp_path / "data.ndjson.manifest.json").exists()
 
 
@@ -48,8 +48,8 @@ def test_split_grows_trace_count(small_corpus, tmp_path):
     assert run(["split", "-i", str(small_corpus), "--strategy", "wr",
                 "--paths", "3", "--batch-packets", "50", "--seed", "1",
                 "-o", str(out)]) == 0
-    parents = sum(1 for _ in small_corpus.open())
-    children = sum(1 for _ in out.open())
+    parents = small_corpus.read_text().count("\n")
+    children = out.read_text().count("\n")
     assert children >= parents
 
 
@@ -57,8 +57,8 @@ def test_split_context_caps_subtraces_at_two(small_corpus, tmp_path):
     out = tmp_path / "ctx.ndjson"
     assert run(["split", "-i", str(small_corpus), "--strategy", "context",
                 "--handshake", "4", "--paths", "2", "-o", str(out)]) == 0
-    parents = sum(1 for _ in small_corpus.open())
-    children = sum(1 for _ in out.open())
+    parents = small_corpus.read_text().count("\n")
+    children = out.read_text().count("\n")
     assert children <= 2 * parents
 
 
@@ -259,3 +259,37 @@ def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, mes
     assert run(["replay", str(bad), "-o", str(tmp_path / "again.ndjson")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--defense", "none", "--k", "0"],
+    ["evaluate", "--defense", "none", "--r", "0"],
+    ["evaluate", "--defense", "none", "--threshold-quantile", "0"],
+    ["overhead", "--periods", "5,10,20,50,0"],
+    ["overhead", "--periods", "10", "--reps", "0"],
+    ["overhead", "--periods", "10", "--paths", "0"],
+    ["overhead", "--periods", "10", "--loss", "1.5"],
+    ["overhead", "--periods", "10", "--rtt-ms", "0"],
+    ["overhead", "--periods", "10", "--bandwidth-mbps", "0"],
+    ["overhead", "--periods", "10", "--bandwidth-mbps", "inf"],
+    ["overhead", "--periods", "10", "--total-mb", "0.001"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_bad_flag_value_exits_2_before_writing(small_corpus, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] == "evaluate":
+        argv = [*argv, "-i", str(small_corpus)]
+    else:
+        argv = [*argv, "--protocol", "quic"]
+    capsys.readouterr()
+    assert run([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
+def test_k_above_exemplar_count_exits_1(small_corpus, tmp_path, capsys):
+    # a value only the data can refuse stays a runtime error
+    code = run(["evaluate", "-i", str(small_corpus), "--defense", "none",
+                "--k", "1000", "-o", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "exemplars" in capsys.readouterr().err

@@ -137,6 +137,6 @@ def test_input_validation():
     with pytest.raises(ValueError):
         simulate_transfer(paths(), QUIC, 0, MB, seed=0)
     with pytest.raises(ValueError):
-        PathModel(rtt_us=RTT, bandwidth_bytes_per_s=BW, loss_rate=1.0).validate()
+        PathModel(rtt_us=RTT, bandwidth_bytes_per_s=BW, loss_rate=1.0)
     with pytest.raises(ValueError):
         compare_validation_caching(paths(), [1000], MB, sender=WG)

@@ -9,7 +9,6 @@ from pathsplit.scheduler import (
     Strategy,
     draw_connection_weights,
     schedule,
-    schedule_context_dependent,
 )
 from pathsplit.traces import Direction, Packet, Trace
 
@@ -131,18 +130,23 @@ def test_dirichlet_moments_match_analytic():
 # --- context-dependent
 
 
+def context(handshake_packets):
+    return cfg(strategy=Strategy.CONTEXT_DEPENDENT, n_paths=2,
+               handshake_packets=handshake_packets, vpn_path=0, direct_path=1)
+
+
 def test_context_dependent_basic():
-    a = schedule_context_dependent(uniform_trace(10), 4, vpn_path=0, direct_path=1)
+    a = schedule(uniform_trace(10), context(4))
     assert a.path_per_packet.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
 
 
 def test_context_dependent_short_trace_stays_on_vpn():
-    a = schedule_context_dependent(uniform_trace(3), 4, vpn_path=0, direct_path=1)
+    a = schedule(uniform_trace(3), context(4))
     assert a.path_per_packet.tolist() == [0, 0, 0]
 
 
 def test_context_dependent_single_switch():
-    a = schedule_context_dependent(uniform_trace(2), 1, vpn_path=0, direct_path=1)
+    a = schedule(uniform_trace(2), context(1))
     transitions = sum(
         1 for i in range(1, 2) if a.path_per_packet[i] != a.path_per_packet[i - 1]
     )
@@ -204,13 +208,13 @@ def test_empty_trace_rejected():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        cfg(n_paths=1).validate()
+        cfg(n_paths=1)
     with pytest.raises(ValueError):
-        cfg(batch_packets=0).validate()
+        cfg(batch_packets=0)
     with pytest.raises(ValueError):
-        cfg(dirichlet_alpha=0.0).validate()
+        cfg(dirichlet_alpha=0.0)
     with pytest.raises(ValueError):
-        cfg(strategy=Strategy.CONTEXT_DEPENDENT, vpn_path=1, direct_path=1).validate()
+        cfg(strategy=Strategy.CONTEXT_DEPENDENT, vpn_path=1, direct_path=1)
 
 
 def test_config_round_trips_as_dict():

@@ -153,7 +153,6 @@ def test_split_dataset_deterministic_and_inherits_labels():
     parent_labels = {(t.label, t.monitored) for t in ds.traces}
     assert {(t.label, t.monitored) for t in a.traces} <= parent_labels
     assert a.monitored_class_count == ds.monitored_class_count
-    assert a.metadata["split"]["config"] == config.to_dict()
 
 
 def test_split_dataset_unmonitored_labels_preserved():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -30,6 +31,17 @@ def write_ndjson(path, records):
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
 
+def write_records(path, fmt, records):
+    """Write ndjson-style records in fmt, one csv trace_id per record."""
+    if fmt == "ndjson":
+        return write_ndjson(path, records)
+    rows = ["trace_id,label,monitored,timestamp_us,signed_size\n"]
+    for i, r in enumerate(records):
+        flag = "true" if r["monitored"] else "false"
+        rows += [f"{i},{r['label']},{flag},{ts},{size}\n" for ts, size in r["packets"]]
+    path.write_text("".join(rows), encoding="utf-8")
+
+
 # --- loading and normalization
 
 
@@ -51,14 +63,16 @@ def test_load_sorts_out_of_order_packets_stably(tmp_path):
     assert got == [(0, -200), (200, 50), (600, 100), (600, -300)]
 
 
-def test_load_rejects_zero_size_packet_with_line(tmp_path):
-    f = tmp_path / "d.ndjson"
-    write_ndjson(f, [
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_load_rejects_zero_size_packet_with_line(tmp_path, fmt):
+    f = tmp_path / f"d.{fmt}"
+    line = 2 if fmt == "ndjson" else 4
+    write_records(f, fmt, [
         {"label": "class-000", "monitored": True, "packets": [[0, 100]]},
         {"label": "class-001", "monitored": True, "packets": [[0, 100], [5, 0]]},
     ])
-    with pytest.raises(DatasetFormatError, match="line 2.*zero-size"):
-        load_dataset(f, "ndjson")
+    with pytest.raises(DatasetFormatError, match=f"^line {line}: zero-size packet"):
+        load_dataset(f, fmt)
 
 
 def test_load_rejects_empty_trace_with_line(tmp_path):
@@ -101,16 +115,25 @@ def test_csv_row_errors_carry_line_numbers(tmp_path):
         load_dataset(f, "csv")
 
 
-def test_reserved_label_contract(tmp_path):
-    f = tmp_path / "d.ndjson"
-    write_ndjson(f, [{"label": "example.com", "monitored": False,
-                      "packets": [[0, 100]]}])
-    with pytest.raises(DatasetFormatError, match=UNMONITORED_LABEL):
-        load_dataset(f, "ndjson")
-    write_ndjson(f, [{"label": UNMONITORED_LABEL, "monitored": True,
-                      "packets": [[0, 100]]}])
-    with pytest.raises(DatasetFormatError, match="reserved"):
-        load_dataset(f, "ndjson")
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_reserved_label_contract(tmp_path, fmt):
+    f = tmp_path / f"d.{fmt}"
+    line = 1 if fmt == "ndjson" else 2
+    write_records(f, fmt, [{"label": "example.com", "monitored": False,
+                            "packets": [[0, 100]]}])
+    with pytest.raises(DatasetFormatError, match=UNMONITORED_LABEL) as exc:
+        load_dataset(f, fmt)
+    assert str(exc.value) == (
+        f"line {line}: unmonitored trace labeled 'example.com'; "
+        f"expected {UNMONITORED_LABEL!r}"
+    )
+    write_records(f, fmt, [{"label": UNMONITORED_LABEL, "monitored": True,
+                            "packets": [[0, 100]]}])
+    with pytest.raises(DatasetFormatError, match="reserved") as exc:
+        load_dataset(f, fmt)
+    assert str(exc.value) == (
+        f"line {line}: monitored trace uses the reserved label {UNMONITORED_LABEL!r}"
+    )
 
 
 def test_normalize_trace_idempotent():
@@ -239,6 +262,41 @@ def test_trace_columns_are_validated_and_read_only():
     with pytest.raises(ValueError, match="sizes"):
         Trace([0, 5], [100], "class-000", True)
     assert Trace([0, 1], [2**62, -(2**62)], "class-000", True).total_bytes == 2**63
+
+
+def test_trace_checks_reserved_label():
+    with pytest.raises(ValueError, match="unmonitored trace labeled 'example.com'"):
+        Trace([0], [100], "example.com", False)
+    with pytest.raises(ValueError, match="monitored trace uses the reserved label"):
+        Trace([0], [100], UNMONITORED_LABEL, True)
+    with pytest.raises(ValueError, match="reserved"):
+        Trace.from_packets((), UNMONITORED_LABEL, True)  # empty traces too
+
+
+def test_dataset_holds_traces_only():
+    traces = [mk_trace([(0, 100)]), mk_trace([(0, 100)], label="class-001"),
+              mk_trace([(0, -80)], label=UNMONITORED_LABEL, monitored=False)]
+    ds = Dataset.from_traces(traces)
+    assert [f.name for f in dataclasses.fields(ds)] == ["traces"]
+    assert ds.monitored_class_count == 2
+
+
+def test_csv_failure_the_row_check_misses_is_still_a_format_error(
+    tmp_path, monkeypatch
+):
+    # should the row re-read ever accept what the fast path refused, the
+    # loader still fails with DatasetFormatError, without a line
+    monkeypatch.setattr(traces_module, "_check_csv_rows", lambda path: None)
+    f = tmp_path / "d.csv"
+    write_records(f, "csv", [{"label": "class-000", "monitored": True,
+                              "packets": [[0, 100], [5, 0]]}])
+    with pytest.raises(DatasetFormatError, match="^zero-size packet") as exc:
+        load_dataset(f, "csv")
+    assert exc.value.line is None
+    f.write_text("trace_id,label,monitored,timestamp_us,signed_size\n0,a,maybe,0,1\n")
+    with pytest.raises(DatasetFormatError, match="malformed csv") as exc:
+        load_dataset(f, "csv")
+    assert exc.value.line is None
 
 
 def test_csv_rejects_trace_id_that_reappears(tmp_path):
