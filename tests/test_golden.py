@@ -40,6 +40,17 @@ FLOW = {
                      "--seed", "2"],
     "overhead-quic.csv": ["overhead", "--protocol", "quic", "--periods", "10,100",
                           "--reps", "2", "--total-mb", "2", "--seed", "3"],
+    # lossy runs pin the binomial draw order, WireGuard's per-path state
+    # and QUIC's validation cache
+    "overhead-wireguard-lossy.csv": ["overhead", "--protocol", "wireguard",
+                                     "--loss", "0.01", "--periods", "10,100",
+                                     "--reps", "2", "--total-mb", "2",
+                                     "--seed", "3"],
+    "overhead-quic-cached-lossy.csv": ["overhead", "--protocol", "quic",
+                                       "--validate-cache", "--paths", "3",
+                                       "--loss", "0.01", "--periods", "10,50,100",
+                                       "--reps", "2", "--total-mb", "2",
+                                       "--seed", "3"],
 }
 
 GOLDEN_SHA256 = {
@@ -61,6 +72,10 @@ GOLDEN_SHA256 = {
         "17930a21ed8ad23d84ff0fee19580bfba2b271ca4fa19c6924ace138c0c153a4",
     "overhead-quic.csv":
         "1d1d2ea6a763f45acb82d3a0b206b835df1e2e0d0faa08a77fc3888085c87f05",
+    "overhead-wireguard-lossy.csv":
+        "161837a74893359c3aa301a69fbd4d719b2ba8d86c69bc2136ddce1c4d12e44c",
+    "overhead-quic-cached-lossy.csv":
+        "c63d68317b24fdd21b5983783319c58de5df973b85292e03dd3b68614fa0a1b1",
 }
 
 
