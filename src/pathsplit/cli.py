@@ -352,6 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> None:
     if args.subcommand == "generate":
+        _require(args.classes >= 1, f"--classes must be >= 1, got {args.classes}")
+        _require(args.per_class >= 1,
+                 f"--per-class must be >= 1, got {args.per_class}")
+        _require(args.unmonitored >= 0,
+                 f"--unmonitored must be >= 0, got {args.unmonitored}")
         run_generate(
             {
                 "classes": args.classes,
@@ -373,7 +378,7 @@ def _dispatch(args: argparse.Namespace) -> None:
             strategy=Strategy(args.strategy),
             boundary=BoundaryMode(args.boundary),
             batch_packets=args.batch_packets,
-            window_us=(args.window_ms or 100) * 1000,
+            window_us=(100 if args.window_ms is None else args.window_ms) * 1000,
             dirichlet_alpha=args.alpha,
             handshake_packets=args.handshake,
             vpn_path=args.vpn_path,

@@ -23,7 +23,7 @@ on the same paths and seed.
 from __future__ import annotations
 
 import enum
-import math
+import functools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -97,28 +97,6 @@ class SweepPoint:
     stddev: float
 
 
-class _CongestionState:
-    __slots__ = ("cwnd", "ssthresh")
-
-    def __init__(self, initial_cwnd_bytes: float):
-        self.cwnd = initial_cwnd_bytes
-        self.ssthresh = _SSTHRESH_INF
-
-    def on_ack(self, delivered: int, acked_packets: int, mss: int) -> None:
-        if self.cwnd < self.ssthresh:
-            self.cwnd += delivered
-        else:
-            self.cwnd += mss * mss * acked_packets / self.cwnd
-
-    def on_loss(self, mss: int) -> None:
-        self.ssthresh = max(self.cwnd / 2.0, 2.0 * mss)
-        self.cwnd = max(self.ssthresh, float(mss))
-
-    def reset(self, initial_cwnd_bytes: float) -> None:
-        self.cwnd = initial_cwnd_bytes
-        self.ssthresh = _SSTHRESH_INF
-
-
 def _run(
     paths: Sequence[PathModel],
     sender: SenderModel,
@@ -127,46 +105,95 @@ def _run(
     seed_stream: tuple[int, ...],
 ) -> int:
     """Simulate one transfer; returns elapsed microseconds."""
-    rng = stream_rng(*seed_stream)
+    binomial = stream_rng(*seed_stream).binomial
     mss = sender.mss_bytes
     initial_cwnd = float(sender.initial_cwnd_packets * mss)
     quic = sender.protocol is Protocol.QUIC_MIGRATION
-    states = [_CongestionState(initial_cwnd) for _ in paths]
-    shared = _CongestionState(initial_cwnd)  # QUIC: one connection-wide state
+    switching = switch_period_us is not None and len(paths) > 1
+    # cwnd/ssthresh are the active path's congestion state; on a switch
+    # QUIC resets them (one connection-wide state) and WireGuard parks them
+    # in cwnds/ssthreshes and resumes the new path's own
+    cwnd = initial_cwnd
+    ssthresh = _SSTHRESH_INF
+    cwnds = [initial_cwnd] * len(paths)
+    ssthreshes = [_SSTHRESH_INF] * len(paths)
     validated = {0}
+    rtt = paths[0].rtt_us
+    bandwidth = paths[0].bandwidth_bytes_per_s
+    loss_rate = paths[0].loss_rate
 
     t = 0
     acked = 0
     path_index = 0
     boundaries_done = 0
     while acked < total_bytes:
-        if switch_period_us is not None and len(paths) > 1:
+        if switching:
             due = t // switch_period_us
             if due > boundaries_done:
+                if not quic:
+                    cwnds[path_index] = cwnd
+                    ssthreshes[path_index] = ssthresh
                 path_index = (path_index + (due - boundaries_done)) % len(paths)
                 boundaries_done = due
+                path = paths[path_index]
+                rtt = path.rtt_us
+                bandwidth = path.bandwidth_bytes_per_s
+                loss_rate = path.loss_rate
                 if quic:
                     if not (sender.validation_cache and path_index in validated):
-                        t += paths[path_index].rtt_us  # path validation stall
+                        t += rtt  # path validation stall
                     validated.add(path_index)
-                    shared.reset(initial_cwnd)
-        path = paths[path_index]
-        state = shared if quic else states[path_index]
+                    cwnd = initial_cwnd
+                    ssthresh = _SSTHRESH_INF
+                else:
+                    cwnd = cwnds[path_index]
+                    ssthresh = ssthreshes[path_index]
 
-        flight = min(int(state.cwnd), total_bytes - acked)
-        flight = max(flight, min(mss, total_bytes - acked))
+        # cwnd never falls below one MSS, so a flight is at least
+        # min(mss, bytes left)
+        flight = int(cwnd)
+        if flight > total_bytes - acked:
+            flight = total_bytes - acked
         n_packets = -(-flight // mss)
-        losses = int(rng.binomial(n_packets, path.loss_rate)) if path.loss_rate else 0
-        delivered = max(0, flight - losses * mss)
-        t += max(
-            path.rtt_us, -(-flight * 1_000_000 // path.bandwidth_bytes_per_s)
-        )
+        losses = int(binomial(n_packets, loss_rate)) if loss_rate else 0
+        delivered = flight - losses * mss
+        if delivered < 0:
+            delivered = 0
+        serialization = -(-flight * 1_000_000 // bandwidth)
+        t += rtt if rtt >= serialization else serialization
         acked += delivered
         if losses:
-            state.on_loss(mss)
+            ssthresh = cwnd / 2.0
+            if ssthresh < 2.0 * mss:
+                ssthresh = 2.0 * mss
+            cwnd = ssthresh  # at least 2 MSS, so above the 1-MSS floor
+        elif cwnd < ssthresh:
+            cwnd += delivered
         else:
-            state.on_ack(delivered, n_packets, mss)
+            cwnd += mss * mss * n_packets / cwnd
     return t
+
+
+@functools.lru_cache(maxsize=1024)
+def _baseline_us(
+    path: PathModel,
+    mss_bytes: int,
+    initial_cwnd_packets: int,
+    total_bytes: int,
+    seed_stream: tuple[int, ...],
+) -> int:
+    """Elapsed microseconds of the unswitched transfer.
+
+    Without switching a run uses only its first path and one congestion
+    state whatever the protocol, so these inputs are all it depends on; a
+    sweep computes it once per repetition instead of once per period.
+    """
+    sender = SenderModel(
+        protocol=Protocol.QUIC_MIGRATION,
+        initial_cwnd_packets=initial_cwnd_packets,
+        mss_bytes=mss_bytes,
+    )
+    return _run((path,), sender, None, total_bytes, seed_stream)
 
 
 def simulate_transfer(
@@ -186,11 +213,13 @@ def simulate_transfer(
         raise ValueError("total_bytes must be at least one MSS")
 
     stream = (seed, _STREAM_NETSIM)
-    elapsed = _run(paths, sender, switch_period_us, total_bytes, stream)
+    baseline_elapsed = _baseline_us(
+        paths[0], sender.mss_bytes, sender.initial_cwnd_packets, total_bytes, stream
+    )
     if switch_period_us is None:
-        baseline_elapsed = elapsed
+        elapsed = baseline_elapsed
     else:
-        baseline_elapsed = _run(paths, sender, None, total_bytes, stream)
+        elapsed = _run(paths, sender, switch_period_us, total_bytes, stream)
     throughput = total_bytes * 1_000_000 / elapsed
     baseline = total_bytes * 1_000_000 / baseline_elapsed
     return OverheadResult(
@@ -213,6 +242,7 @@ def sweep_frequencies(
     """Mean overhead per switching period over seeded repetitions."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    _baseline_us.cache_clear()  # a sweep's cost must not depend on earlier ones
     points = []
     for period in periods_us:
         throughputs = []
@@ -251,6 +281,7 @@ def compare_validation_caching(
         raise ValueError("validation caching applies to the QUIC sender only")
     uncached_sender = replace(sender, validation_cache=False)
     cached_sender = replace(sender, validation_cache=True)
+    _baseline_us.cache_clear()
     pairs = []
     for period in periods_us:
         uncached = simulate_transfer(paths, uncached_sender, period, total_bytes, seed)

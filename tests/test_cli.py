@@ -273,12 +273,16 @@ def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, mes
     ["overhead", "--periods", "10", "--bandwidth-mbps", "0"],
     ["overhead", "--periods", "10", "--bandwidth-mbps", "inf"],
     ["overhead", "--periods", "10", "--total-mb", "0.001"],
+    ["split", "--strategy", "rr", "--boundary", "time", "--window-ms", "0"],
+    ["generate", "--per-class", "8", "--classes", "0"],
+    ["generate", "--classes", "2", "--per-class", "0"],
+    ["generate", "--classes", "2", "--per-class", "8", "--unmonitored", "-1"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_bad_flag_value_exits_2_before_writing(small_corpus, tmp_path, capsys, argv):
     out = tmp_path / "out"
-    if argv[0] == "evaluate":
+    if argv[0] in ("evaluate", "split"):
         argv = [*argv, "-i", str(small_corpus)]
-    else:
+    elif argv[0] == "overhead":
         argv = [*argv, "--protocol", "quic"]
     capsys.readouterr()
     assert run([*argv, "-o", str(out)]) == 2

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from pathsplit import netsim
 from pathsplit.netsim import (
     PathModel,
     Protocol,
@@ -140,3 +143,46 @@ def test_input_validation():
         PathModel(rtt_us=RTT, bandwidth_bytes_per_s=BW, loss_rate=1.0)
     with pytest.raises(ValueError):
         compare_validation_caching(paths(), [1000], MB, sender=WG)
+
+
+def test_sweep_runs_each_baseline_once(monkeypatch):
+    unswitched = []
+    real_run = netsim._run
+
+    def counting_run(paths, sender, switch_period_us, *rest):
+        if switch_period_us is None:
+            unswitched.append(paths)
+        return real_run(paths, sender, switch_period_us, *rest)
+
+    monkeypatch.setattr(netsim, "_run", counting_run)
+    periods = [10_000, 50_000, 100_000]
+    for _ in range(2):  # the same sweep again costs the same
+        unswitched.clear()
+        sweep_frequencies(paths(loss=0.01), WG, periods, MB, repetitions=2, seed=1)
+        assert len(unswitched) == 2  # one per repetition, not per (period, rep)
+    unswitched.clear()
+    compare_validation_caching(paths(3), periods, MB, seed=6)
+    assert len(unswitched) == 1
+
+
+path_models = st.builds(
+    PathModel,
+    rtt_us=st.integers(1, 200_000),
+    bandwidth_bytes_per_s=st.integers(10_000, 100_000_000),
+    loss_rate=st.floats(0.0, 0.3),
+)
+
+
+@given(models=st.lists(path_models, min_size=1, max_size=4),
+       total_bytes=st.integers(1500, 200_000),
+       seed=st.integers(0, 2**40))
+def test_unswitched_run_depends_only_on_first_path(models, total_bytes, seed):
+    # the baseline memo is keyed on paths[0], the MSS, the initial window,
+    # the size and the seed only: protocol, validation caching and the
+    # other paths must not change an unswitched run
+    stream = (seed, netsim._STREAM_NETSIM)
+    expected = netsim._run(models[:1], QUIC, None, total_bytes, stream)
+    for sender in (QUIC, QUIC_CACHED, WG):
+        assert netsim._run(models, sender, None, total_bytes, stream) == expected
+        result = simulate_transfer(models, sender, None, total_bytes, seed)
+        assert result.elapsed_us == expected
