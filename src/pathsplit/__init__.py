@@ -11,11 +11,8 @@ __version__ = "0.1.0"
 from .traces import (
     Dataset,
     DatasetFormatError,
-    Direction,
-    Packet,
     Trace,
     UNMONITORED_LABEL,
-    filter_direction,
     generate_synthetic,
     load_dataset,
     normalize_trace,
@@ -57,10 +54,8 @@ __all__ = [
     "ConfusionCounts",
     "Dataset",
     "DatasetFormatError",
-    "Direction",
     "EvalReport",
     "OverheadResult",
-    "Packet",
     "PathAssignment",
     "PathModel",
     "Protocol",
@@ -77,7 +72,6 @@ __all__ = [
     "evaluate_defense",
     "extract_features",
     "f1_score",
-    "filter_direction",
     "generate_synthetic",
     "load_dataset",
     "merge",

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from pathlib import Path
 
 from . import __version__
 from .netsim import (
@@ -351,6 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> None:
+    if args.subcommand != "replay":
+        # rand.stream_rng folds seeds mod 2**63 and the overhead sweep's
+        # netsim._rep_seed mod 2**48: a seed outside the range would write
+        # the bytes of another seed
+        limit = 2**48 if args.subcommand == "overhead" else 2**63
+        _require(0 <= args.seed < limit,
+                 f"--seed must be in [0, {limit}), got {args.seed}")
     if args.subcommand == "generate":
         _require(args.classes >= 1, f"--classes must be >= 1, got {args.classes}")
         _require(args.per_class >= 1,
@@ -400,7 +407,8 @@ def _dispatch(args: argparse.Namespace) -> None:
         _require(args.k >= 1, f"--k must be >= 1, got {args.k}")
         _require(0 < args.threshold_quantile <= 1,
                  f"--threshold-quantile must be in (0, 1], got {args.threshold_quantile}")
-        _require(args.r > 0, f"--r must be positive, got {args.r}")
+        _require(0 < args.r < math.inf,
+                 f"--r must be finite and positive, got {args.r}")
         run_evaluate(
             {
                 "input": args.input,

@@ -68,9 +68,9 @@ class SchedulerConfig:
             raise ValueError(f"batch_packets must be >= 1, got {self.batch_packets}")
         if self.window_us < 1:
             raise ValueError(f"window_us must be >= 1, got {self.window_us}")
-        if self.dirichlet_alpha <= 0:
+        if not 0 < self.dirichlet_alpha < np.inf:  # refuses NaN too
             raise ValueError(
-                f"dirichlet_alpha must be > 0, got {self.dirichlet_alpha}"
+                f"dirichlet_alpha must be finite and > 0, got {self.dirichlet_alpha}"
             )
         if self.handshake_packets < 1:
             raise ValueError(
@@ -142,8 +142,8 @@ def draw_connection_weights(
     """Draw one per-connection path-probability vector, symmetric Dirichlet."""
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     weights = rng.dirichlet(np.full(n_paths, float(alpha)))
     return weights / weights.sum()
 

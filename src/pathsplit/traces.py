@@ -2,9 +2,10 @@
 
 A trace is columnar: two read-only int64 arrays of equal length,
 ``times_us`` (microseconds, sorted, non-negative) and ``signed_size``
-(bytes, sign gives the direction). ``Trace.packets`` is a view that builds
-one :class:`Packet` per element on access, for callers that want objects;
-nothing on the load, split or feature path reads it.
+(bytes, sign gives the direction). ``Trace.packets`` is a read-only view
+of the same columns as ``(timestamp_us, signed_size)`` int pairs, the
+ndjson wire pair, built on access; nothing on the load, split or feature
+path reads it.
 
 Two wire formats are supported:
 
@@ -32,7 +33,6 @@ time and label rules; loaders parse and add the line to its refusal.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import json
 import math
@@ -68,34 +68,6 @@ class DatasetFormatError(ValueError):
         self.line = line
 
 
-class Direction(enum.Enum):
-    OUTGOING = 1
-    INCOMING = -1
-
-    @property
-    def sign(self) -> int:
-        return self.value
-
-
-@dataclass(frozen=True, slots=True)
-class Packet:
-    """One captured datagram, timed in integer microseconds from trace start."""
-
-    timestamp_us: int
-    direction: Direction
-    size_bytes: int
-
-    def __post_init__(self):
-        if self.timestamp_us < 0:
-            raise ValueError(f"negative timestamp {self.timestamp_us}")
-        if self.size_bytes < 1:
-            raise ValueError(f"packet size must be >= 1, got {self.size_bytes}")
-
-    @property
-    def signed_size(self) -> int:
-        return self.direction.sign * self.size_bytes
-
-
 def int64_column(values) -> np.ndarray:
     """A read-only 1-D int64 array over values, sharing memory when it can.
 
@@ -111,11 +83,10 @@ def int64_column(values) -> np.ndarray:
     return column
 
 
-class PacketView(Sequence):
-    """Packets of a trace as objects, each built when it is read.
+class _PairView(Sequence):
+    """A trace's packets as ``(timestamp_us, signed_size)`` int pairs.
 
-    Compares equal to another view with the same columns, or to a tuple or
-    list of the same packets.
+    Each pair is built when it is read; ``len`` reads the column length.
     """
 
     __slots__ = ("_times", "_sizes")
@@ -127,30 +98,11 @@ class PacketView(Sequence):
     def __len__(self) -> int:
         return len(self._times)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return PacketView(self._times[index], self._sizes[index])
-        return _packet(int(self._times[index]), int(self._sizes[index]))
+    def __getitem__(self, index: int) -> tuple[int, int]:
+        return int(self._times[index]), int(self._sizes[index])
 
     def __iter__(self):
-        return map(_packet, self._times.tolist(), self._sizes.tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, PacketView):
-            return np.array_equal(self._times, other._times) and np.array_equal(
-                self._sizes, other._sizes
-            )
-        if isinstance(other, (tuple, list)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"PacketView({list(self)!r})"
-
-
-def _packet(timestamp_us: int, signed_size: int) -> Packet:
-    direction = Direction.OUTGOING if signed_size > 0 else Direction.INCOMING
-    return Packet(timestamp_us, direction, abs(signed_size))
+        return zip(self._times.tolist(), self._sizes.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,20 +137,10 @@ class Trace:
         object.__setattr__(self, "times_us", times)
         object.__setattr__(self, "signed_size", sizes)
 
-    @classmethod
-    def from_packets(
-        cls, packets: Iterable[Packet], label: str, monitored: bool
-    ) -> "Trace":
-        """Build a trace from Packet objects, in the order given."""
-        packets = tuple(packets)
-        times = [p.timestamp_us for p in packets]
-        sizes = [p.signed_size for p in packets]
-        return cls(times, sizes, label, monitored)
-
     @property
-    def packets(self) -> PacketView:
-        """The packets as objects, built on access."""
-        return PacketView(self.times_us, self.signed_size)
+    def packets(self) -> _PairView:
+        """The packets as ``(timestamp_us, signed_size)`` int pairs."""
+        return _PairView(self.times_us, self.signed_size)
 
     def __len__(self) -> int:
         return len(self.times_us)
@@ -249,13 +191,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.traces)
-
-
-def filter_direction(trace: Trace, direction: Direction) -> Trace:
-    """Keep only one traffic direction (an adversary's one-sided view)."""
-    keep = np.sign(trace.signed_size) == direction.sign
-    return Trace(trace.times_us[keep], trace.signed_size[keep], trace.label,
-                 trace.monitored)
 
 
 def _stable_sorted(times: np.ndarray, sizes: np.ndarray):

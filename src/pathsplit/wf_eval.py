@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -261,8 +261,8 @@ def f1_score(r_precision: float, recall: float) -> float:
 
 def compute_metrics(counts: ConfusionCounts, r: float = 20.0) -> EvalReport:
     """Open-world rates and the base-rate-weighted precision/F1."""
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
+    if not 0 < r < np.inf:
+        raise ValueError(f"r must be finite and positive, got {r}")
     tpr = counts.true_positives / counts.monitored_total
     wpr = counts.wrong_positives / counts.monitored_total
     fpr = counts.false_positives / counts.unmonitored_total

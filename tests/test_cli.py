@@ -265,6 +265,9 @@ def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, mes
     ["evaluate", "--defense", "none", "--k", "0"],
     ["evaluate", "--defense", "none", "--r", "0"],
     ["evaluate", "--defense", "none", "--threshold-quantile", "0"],
+    ["evaluate", "--defense", "none", "--r", "inf"],
+    ["evaluate", "--defense", "wr:3:50", "--alpha", "inf"],
+    ["evaluate", "--defense", "none", "--seed", str(2**63)],
     ["overhead", "--periods", "5,10,20,50,0"],
     ["overhead", "--periods", "10", "--reps", "0"],
     ["overhead", "--periods", "10", "--paths", "0"],
@@ -273,10 +276,14 @@ def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, mes
     ["overhead", "--periods", "10", "--bandwidth-mbps", "0"],
     ["overhead", "--periods", "10", "--bandwidth-mbps", "inf"],
     ["overhead", "--periods", "10", "--total-mb", "0.001"],
+    ["overhead", "--periods", "10", "--seed", str(2**48)],
     ["split", "--strategy", "rr", "--boundary", "time", "--window-ms", "0"],
+    ["split", "--strategy", "wr", "--alpha", "nan"],
+    ["split", "--alpha", "nan", "--strategy", "rr"],
     ["generate", "--per-class", "8", "--classes", "0"],
     ["generate", "--classes", "2", "--per-class", "0"],
     ["generate", "--classes", "2", "--per-class", "8", "--unmonitored", "-1"],
+    ["generate", "--classes", "2", "--per-class", "8", "--seed", "-1"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_bad_flag_value_exits_2_before_writing(small_corpus, tmp_path, capsys, argv):
     out = tmp_path / "out"

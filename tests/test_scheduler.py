@@ -10,17 +10,15 @@ from pathsplit.scheduler import (
     draw_connection_weights,
     schedule,
 )
-from pathsplit.traces import Direction, Packet, Trace
+from pathsplit.traces import Trace
 
 
 def uniform_trace(n, gap_us=1000, label="class-000"):
-    packets = tuple(Packet(i * gap_us, Direction.OUTGOING, 100) for i in range(n))
-    return Trace.from_packets(packets, label, True)
+    return Trace([i * gap_us for i in range(n)], [100] * n, label, True)
 
 
 def timed_trace(times_us):
-    packets = tuple(Packet(t, Direction.OUTGOING, 100) for t in times_us)
-    return Trace.from_packets(packets, "class-000", True)
+    return Trace(times_us, [100] * len(times_us), "class-000", True)
 
 
 def cfg(**kw):
@@ -187,8 +185,8 @@ def test_time_boundary_honored(strategy):
     a = schedule(trace, config)
     for i in range(1, len(trace)):
         if a.path_per_packet[i] != a.path_per_packet[i - 1]:
-            w_prev = trace.packets[i - 1].timestamp_us // 100_000
-            w_cur = trace.packets[i].timestamp_us // 100_000
+            w_prev = trace.times_us[i - 1] // 100_000
+            w_cur = trace.times_us[i] // 100_000
             assert w_cur != w_prev
 
 
@@ -203,7 +201,7 @@ def test_assignment_indices_in_range():
 
 def test_empty_trace_rejected():
     with pytest.raises(ValueError, match="empty"):
-        schedule(Trace.from_packets((), "class-000", True), cfg())
+        schedule(Trace([], [], "class-000", True), cfg())
 
 
 def test_config_validation():
@@ -213,6 +211,11 @@ def test_config_validation():
         cfg(batch_packets=0)
     with pytest.raises(ValueError):
         cfg(dirichlet_alpha=0.0)
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            cfg(dirichlet_alpha=alpha)
+        with pytest.raises(ValueError, match="finite"):
+            draw_connection_weights(3, alpha, stream_rng(0))
     with pytest.raises(ValueError):
         cfg(strategy=Strategy.CONTEXT_DEPENDENT, vpn_path=1, direct_path=1)
 

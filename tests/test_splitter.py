@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from pathsplit.rand import stream_rng
@@ -12,8 +11,6 @@ from pathsplit.scheduler import (
 from pathsplit.splitter import merge, split, split_dataset
 from pathsplit.traces import (
     Dataset,
-    Direction,
-    Packet,
     Trace,
     UNMONITORED_LABEL,
     generate_synthetic,
@@ -22,11 +19,7 @@ from pathsplit.traces import (
 
 
 def mk_trace(pairs, label="class-000", monitored=True):
-    packets = tuple(
-        Packet(ts, Direction.OUTGOING if s > 0 else Direction.INCOMING, abs(s))
-        for ts, s in pairs
-    )
-    return Trace.from_packets(packets, label, monitored)
+    return Trace([ts for ts, _ in pairs], [s for _, s in pairs], label, monitored)
 
 
 def test_even_round_robin_partition():
@@ -34,15 +27,16 @@ def test_even_round_robin_partition():
     config = SchedulerConfig(n_paths=3, strategy=Strategy.ROUND_ROBIN,
                              batch_packets=2)
     subs = split(trace, schedule(trace, config))
-    assert [len(s.packets) for s in subs] == [2, 2, 2]
+    assert [len(s) for s in subs] == [2, 2, 2]
 
 
 def test_constant_assignment_is_identity_on_path0():
     trace = mk_trace([(0, 100), (5, -200), (9, 50)])
     assignment = PathAssignment((0, 0, 0), n_paths=3)
     subs = split(trace, assignment)
-    assert subs[0].packets == trace.packets
-    assert subs[1].packets == () and subs[2].packets == ()
+    assert subs[0].times_us.tolist() == trace.times_us.tolist()
+    assert subs[0].signed_size.tolist() == trace.signed_size.tolist()
+    assert len(subs[1]) == 0 and len(subs[2]) == 0
     assert all(s.label == trace.label and s.monitored for s in subs)
 
 
@@ -53,8 +47,8 @@ def test_time_window_round_robin_worked_example():
     config = SchedulerConfig(n_paths=2, strategy=Strategy.ROUND_ROBIN,
                              boundary=BoundaryMode.TIME_WINDOW, window_us=100_000)
     subs = split(trace, schedule(trace, config))
-    assert [p.timestamp_us for p in subs[0].packets] == [0, 50_000, 260_000]
-    assert [p.timestamp_us for p in subs[1].packets] == [120_000]
+    assert subs[0].times_us.tolist() == [0, 50_000, 260_000]
+    assert subs[1].times_us.tolist() == [120_000]
 
 
 def test_subtrace_keeps_parent_clock_and_can_rebase():
@@ -62,8 +56,8 @@ def test_subtrace_keeps_parent_clock_and_can_rebase():
     config = SchedulerConfig(n_paths=2, strategy=Strategy.ROUND_ROBIN,
                              boundary=BoundaryMode.TIME_WINDOW, window_us=100_000)
     sub = split(trace, schedule(trace, config))[1]
-    assert sub.packets[0].timestamp_us == 120_000  # parent clock by default
-    assert normalize_trace(sub).packets[0].timestamp_us == 0
+    assert sub.times_us[0] == 120_000  # parent clock by default
+    assert normalize_trace(sub).times_us[0] == 0
 
 
 def test_merge_inverts_split_on_random_pairs():
@@ -86,16 +80,17 @@ def test_merge_inverts_split_on_random_pairs():
         merged = merge(subs)
         assert merged == trace
         # conservation: packet and byte totals
-        assert sum(len(s.packets) for s in subs) == len(trace)
-        assert sum(p.size_bytes for s in subs for p in s.packets) == trace.total_bytes
+        assert sum(len(s) for s in subs) == len(trace)
+        assert (sum(abs(size) for s in subs for size in s.signed_size.tolist())
+                == trace.total_bytes)
 
 
 def test_merge_single_nonempty_subtrace():
     trace = mk_trace([(0, 100), (10, -50)])
     subs = [
         trace,
-        Trace.from_packets((), trace.label, trace.monitored),
-        Trace.from_packets((), trace.label, trace.monitored),
+        Trace([], [], trace.label, trace.monitored),
+        Trace([], [], trace.label, trace.monitored),
     ]
     assert merge(subs) == trace
 
@@ -138,7 +133,7 @@ def test_split_dataset_keeps_empty_subtraces_on_request():
     config = SchedulerConfig(n_paths=3, strategy=Strategy.ROUND_ROBIN,
                              batch_packets=50)
     subs = split(ds.traces[0], schedule(ds.traces[0], config))
-    assert sum(1 for t in subs if not t.packets) == 2
+    assert sum(1 for t in subs if not len(t)) == 2
     dropped = split_dataset(ds, config)
     assert len(dropped) == 1
 

@@ -7,11 +7,8 @@ from pathsplit import traces as traces_module
 from pathsplit.traces import (
     Dataset,
     DatasetFormatError,
-    Direction,
-    Packet,
     Trace,
     UNMONITORED_LABEL,
-    filter_direction,
     generate_synthetic,
     load_dataset,
     normalize_trace,
@@ -20,11 +17,7 @@ from pathsplit.traces import (
 
 
 def mk_trace(pairs, label="class-000", monitored=True):
-    packets = tuple(
-        Packet(ts, Direction.OUTGOING if s > 0 else Direction.INCOMING, abs(s))
-        for ts, s in pairs
-    )
-    return Trace.from_packets(packets, label, monitored)
+    return Trace([ts for ts, _ in pairs], [s for _, s in pairs], label, monitored)
 
 
 def write_ndjson(path, records):
@@ -50,7 +43,7 @@ def test_load_normalizes_to_first_timestamp(tmp_path):
     write_ndjson(f, [{"label": "class-000", "monitored": True,
                       "packets": [[1000, 100], [1500, -200], [2000, 100]]}])
     ds = load_dataset(f, "ndjson")
-    assert [p.timestamp_us for p in ds.traces[0].packets] == [0, 500, 1000]
+    assert ds.traces[0].times_us.tolist() == [0, 500, 1000]
 
 
 def test_load_sorts_out_of_order_packets_stably(tmp_path):
@@ -58,7 +51,7 @@ def test_load_sorts_out_of_order_packets_stably(tmp_path):
     write_ndjson(f, [{"label": "class-000", "monitored": True,
                       "packets": [[900, 100], [300, -200], [900, -300], [500, 50]]}])
     ds = load_dataset(f, "ndjson")
-    got = [(p.timestamp_us, p.signed_size) for p in ds.traces[0].packets]
+    got = list(zip(ds.traces[0].times_us.tolist(), ds.traces[0].signed_size.tolist()))
     # stable: the two t=900 packets keep their file order
     assert got == [(0, -200), (200, 50), (600, 100), (600, -300)]
 
@@ -140,7 +133,7 @@ def test_normalize_trace_idempotent():
     t = mk_trace([(700, 100), (200, -300), (900, 50)])
     once = normalize_trace(t)
     assert normalize_trace(once) == once
-    assert once.packets[0].timestamp_us == 0
+    assert once.times_us[0] == 0
 
 
 # --- saving and round trips
@@ -184,7 +177,7 @@ def test_round_trip_unicode_labels(tmp_path, fmt):
 
 
 def test_save_rejects_empty_trace(tmp_path):
-    ds = Dataset.from_traces([Trace.from_packets((), "class-000", True)])
+    ds = Dataset.from_traces([Trace([], [], "class-000", True)])
     with pytest.raises(ValueError, match="no packets"):
         save_dataset(ds, tmp_path / "d.ndjson", "ndjson")
 
@@ -219,35 +212,19 @@ def test_generator_counts_and_labels():
 def test_generator_traces_are_normalized_and_sorted():
     ds = generate_synthetic(3, 3, 5, seed=1)
     for t in ds.traces:
-        times = [p.timestamp_us for p in t.packets]
+        times = t.times_us.tolist()
         assert times[0] == 0
         assert times == sorted(times)
-        assert all(p.size_bytes >= 1 for p in t.packets)
+        assert all(abs(s) >= 1 for s in t.signed_size.tolist())
 
 
 def test_generator_rate_near_500_pps():
     ds = generate_synthetic(10, 10, 30, seed=2)
     rates = [
-        len(t) / (t.packets[-1].timestamp_us / 1e6)
+        len(t) / (t.times_us[-1] / 1e6)
         for t in ds.traces
     ]
     assert 350 < sum(rates) / len(rates) < 700
-
-
-def test_packet_validation():
-    with pytest.raises(ValueError):
-        Packet(0, Direction.OUTGOING, 0)
-    with pytest.raises(ValueError):
-        Packet(-1, Direction.INCOMING, 10)
-
-
-def test_filter_direction():
-    t = mk_trace([(0, 100), (5, -200), (9, 50), (12, -80)])
-    out = filter_direction(t, Direction.OUTGOING)
-    assert [p.signed_size for p in out.packets] == [100, 50]
-    incoming = filter_direction(t, Direction.INCOMING)
-    assert [p.signed_size for p in incoming.packets] == [-200, -80]
-    assert out.label == t.label and out.monitored == t.monitored
 
 
 def test_trace_columns_are_validated_and_read_only():
@@ -264,13 +241,29 @@ def test_trace_columns_are_validated_and_read_only():
     assert Trace([0, 1], [2**62, -(2**62)], "class-000", True).total_bytes == 2**63
 
 
+def test_packets_view_holds_the_ndjson_wire_pairs(tmp_path):
+    ds = generate_synthetic(2, 2, 1, seed=4)
+    for t in (*ds.traces, Trace([], [], "class-000", True)):
+        assert len(t.packets) == len(t)
+        assert bool(t.packets) == (len(t) > 0)
+    last = ds.traces[0].packets[-1]
+    assert last == (int(ds.traces[0].times_us[-1]), int(ds.traces[0].signed_size[-1]))
+    assert [type(v) for v in last] == [int, int]
+    f = tmp_path / "d.ndjson"
+    save_dataset(ds, f, "ndjson")
+    records = [json.loads(line) for line in f.read_text(encoding="utf-8").splitlines()]
+    assert [list(map(list, t.packets)) for t in ds.traces] == [
+        r["packets"] for r in records
+    ]
+
+
 def test_trace_checks_reserved_label():
     with pytest.raises(ValueError, match="unmonitored trace labeled 'example.com'"):
         Trace([0], [100], "example.com", False)
     with pytest.raises(ValueError, match="monitored trace uses the reserved label"):
         Trace([0], [100], UNMONITORED_LABEL, True)
     with pytest.raises(ValueError, match="reserved"):
-        Trace.from_packets((), UNMONITORED_LABEL, True)  # empty traces too
+        Trace([], [], UNMONITORED_LABEL, True)  # empty traces too
 
 
 def test_dataset_holds_traces_only():
