@@ -6,8 +6,6 @@ corpus; randomized defenses are averaged over a fixed list of scheduler
 seeds so a single unlucky draw cannot flip an ordering.
 """
 
-import json
-
 import numpy as np
 import pytest
 

@@ -1,5 +1,5 @@
 """The package's public surface: every exported name exists, once, and no
-module imports a name it never reads."""
+module or test file imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -43,10 +43,14 @@ def _unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
 
 
+PACKAGE = Path(pathsplit.__file__).parent
+TESTS = Path(__file__).parent
+
+
 @pytest.mark.parametrize(
     "module",
-    sorted(Path(pathsplit.__file__).parent.glob("*.py")),
-    ids=lambda path: path.name,
+    sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda path: path.name if path.parent == PACKAGE else f"tests/{path.name}",
 )
 def test_no_unused_imports(module):
     assert _unused_imports(module.read_text(encoding="utf-8")) == []

@@ -1,7 +1,13 @@
-"""Property tests: loader round trips, the split/merge inverse, schedule
-determinism and clock-shift invariance of the features."""
+"""Property tests: loader round trips, the csv reader and writer against
+the csv module, the split/merge inverse, schedule determinism and
+clock-shift invariance of the features."""
+
+import csv
+import io
+from itertools import groupby
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,12 +18,15 @@ from pathsplit.scheduler import (
     Strategy,
     schedule,
 )
+from pathsplit import traces as traces_module
 from pathsplit.splitter import merge, split
 from pathsplit.traces import (
+    CSV_COLUMNS,
     INT64_MAX,
     INT64_MIN,
     UNMONITORED_LABEL,
     Dataset,
+    DatasetFormatError,
     Trace,
     load_dataset,
     normalize_trace,
@@ -31,12 +40,12 @@ labels = st.text(min_size=0, max_size=12).filter(lambda s: s != UNMONITORED_LABE
 
 
 @st.composite
-def raw_traces(draw, size=sizes, max_time=INT64_MAX):
+def raw_traces(draw, size=sizes, max_time=INT64_MAX, label=labels):
     """A trace with non-negative, unsorted timestamps and any label."""
     pairs = draw(st.lists(st.tuples(st.integers(0, max_time), size),
                           min_size=1, max_size=40))
     monitored = draw(st.booleans())
-    label = draw(labels) if monitored else UNMONITORED_LABEL
+    label = draw(label) if monitored else UNMONITORED_LABEL
     times, signed = zip(*pairs)
     return Trace(times, signed, label, monitored)
 
@@ -56,6 +65,117 @@ def test_load_of_save_is_normalize(tmp_path_factory, traces, fmt):
     save_dataset(Dataset.from_traces(traces), path, fmt)
     back = load_dataset(path, fmt)
     assert back.traces == tuple(normalize_trace(t) for t in traces)
+
+
+# csv text that the reader must take as csv.reader does, or refuse with
+# the row check's message: quoted commas, doubled quotes, \r and \n in
+# labels, blank and whitespace-only lines, spellings int() and the flag
+# rule accept, values just outside int64, and rows of 4 or 6 fields.
+csv_texts = st.lists(st.sampled_from(['a', 'é', ',', '"', '""', '\r', '\n', ' ', '{}']),
+                    max_size=4).map("".join)
+csv_numbers = st.one_of(
+    st.integers(-9, 9).filter(bool).map(str),
+    st.sampled_from(["1_0", "+4", " 7", "\u0663", str(INT64_MAX), str(INT64_MIN)]),
+)
+odd_numbers = st.sampled_from(["0", "x", "", str(INT64_MAX + 1), str(INT64_MIN - 1)])
+csv_flags = {True: st.sampled_from(["true", " true", "TRUE"]),
+             False: st.sampled_from(["false", "False "])}
+
+
+@st.composite
+def csv_fields(draw, text):
+    quote = draw(st.sampled_from(["always", "never"] + ["as needed"] * 4))
+    if quote == "always" or quote == "as needed" and any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_bodies(draw):
+    """csv rows after the header, mostly grouped into well-formed traces."""
+    lines = []
+    for tid in draw(st.lists(st.sampled_from("012"), min_size=1, max_size=5)):
+        monitored = draw(st.booleans())
+        label = draw(csv_texts) if monitored else UNMONITORED_LABEL
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(
+                ["row"] * 12 + ["blank", "space", "4", "6", "stray", "flag", "odd"]
+            ))
+            if kind == "blank":
+                lines.append("")
+            elif kind == "space":
+                lines.append(draw(st.sampled_from([" ", "\t", " \t "])))
+            else:
+                if kind == "stray":  # any label and flag, for mid-group changes
+                    row = [tid, draw(csv_texts), draw(st.sampled_from(["true", "false"]))]
+                elif kind == "flag":
+                    row = [tid, label, draw(st.sampled_from(["maybe", "", "yes"]))]
+                else:
+                    row = [tid, label, draw(csv_flags[monitored])]
+                numbers = odd_numbers if kind == "odd" else csv_numbers
+                row += [draw(numbers), draw(numbers)]
+                if kind == "4":
+                    row.pop()
+                elif kind == "6":
+                    row.append("1")
+                lines.append(",".join(draw(csv_fields(field)) for field in row))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return "".join(line + end for line in lines)
+
+
+def csv_reader_traces(path) -> tuple[Trace, ...]:
+    """The traces of a csv file that passes the row check, read by csv.reader."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    traces = []
+    for _, group in groupby(filter(None, rows), key=lambda row: row[0]):
+        group = list(group)
+        _, label, flag = group[0][:3]
+        pairs = sorted(((int(row[3]), int(row[4])) for row in group), key=lambda p: p[0])
+        traces.append(Trace([t - pairs[0][0] for t, _ in pairs], [s for _, s in pairs],
+                            label, flag.strip().lower() == "true"))
+    return tuple(traces)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, traces_module._CSV_BLOCK_ROWS])
+@given(body=csv_bodies())
+def test_csv_loader_agrees_with_csv_reader(tmp_path_factory, block_rows, body):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + body, encoding="utf-8", newline="")
+    try:
+        traces_module._check_csv_rows(path)
+    except DatasetFormatError as exc:
+        expected = str(exc)
+    else:
+        expected = csv_reader_traces(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traces_module, "_CSV_BLOCK_ROWS", block_rows)
+        if isinstance(expected, str):
+            with pytest.raises(DatasetFormatError) as exc:
+                load_dataset(path, "csv")
+            assert str(exc.value) == expected
+        else:
+            assert load_dataset(path, "csv").traces == expected
+
+
+writer_labels = st.lists(st.sampled_from(
+    ['"', ',', '\r', '\n', '{', '}', '{0}', '\t', 'é', ''])).map("".join)
+
+
+@given(traces=st.lists(raw_traces(label=writer_labels), max_size=4))
+def test_csv_writer_matches_csv_module(tmp_path_factory, traces):
+    path = tmp_path_factory.mktemp("w") / "d.csv"
+    save_dataset(Dataset.from_traces(traces), path, "csv")
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(CSV_COLUMNS)
+    for i, t in enumerate(traces):
+        # a bare \r in an unquoted label would end its row on reading
+        quoting = csv.QUOTE_ALL if "\r" in t.label else csv.QUOTE_MINIMAL
+        csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(
+            (i, t.label, "true" if t.monitored else "false", ts, size)
+            for ts, size in zip(t.times_us.tolist(), t.signed_size.tolist())
+        )
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 @given(trace=increasing_traces(), data=st.data())

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -357,3 +359,22 @@ def test_csv_checks_hold_across_parse_blocks(tmp_path, monkeypatch, block_rows):
     f.write_text(header + "0,class-000,true,0,1\n0,class-000,TRUE,1,1\n"
                  "1,class-001,true,0,1\n")
     assert [len(t) for t in load_dataset(f, "csv").traces] == [2, 1]
+
+
+def test_csv_load_memory_stays_near_the_loaded_columns(tmp_path):
+    # the loaded int64 columns take 16 B per packet; 512-row parse blocks
+    # peak at about 35 B, a whole-file parse at about 355 B
+    ds = generate_synthetic(9, 60, 40, seed=7)
+    packets = sum(map(len, ds.traces))
+    f = tmp_path / "d.csv"
+    save_dataset(ds, f, "csv")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(f, "csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.traces == ds.traces
+    assert packets == 127_857
+    assert peak / packets < 64
