@@ -37,11 +37,13 @@ time and label rules; loaders parse and add the line to its refusal.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 from collections.abc import Sequence
@@ -388,13 +390,27 @@ def _parse_int(value: str, column: str, line: int) -> int:
     return number
 
 
+@contextlib.contextmanager
+def _fields_of_any_size():
+    """Let csv.reader take a field of any length, as np.loadtxt does.
+
+    csv.field_size_limit is interpreter-wide (131072 by default), so the
+    previous limit comes back on exit.
+    """
+    previous = csv.field_size_limit(sys.maxsize)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(previous)
+
+
 def _check_csv_rows(path) -> None:
     """Re-read a csv dataset row by row; raise at the first faulty row.
 
     The loader calls this only after parsing or building a trace failed,
     to name the line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, _fields_of_any_size():
         reader = csv.reader(fh)
         next(reader)  # the header was checked already
         seen: set[str] = set()
@@ -523,7 +539,7 @@ def _changes(column: np.ndarray, previous) -> np.ndarray:
 
 
 def _read_csv(path) -> list[Trace]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, _fields_of_any_size():
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -671,6 +687,13 @@ def generate_synthetic(
     profile) plus per-trace seeded noise; unmonitored traces draw their
     shape from a broad background distribution. Identical arguments always
     produce an identical dataset.
+
+    Size grows fast with `classes`: a class's mean packet count is
+    150 * 2.6**(c // 9) (times a 1.0-1.27 cell factor), so it grows 2.6x
+    every 9 classes. 100 classes x 100 traces + 5000 unmonitored ask for
+    about 4.1e9 packets, 65 GB of int64 columns; an 8 GB machine runs out
+    of memory. Scale a corpus up with `traces_per_class` instead: 9 x 600
+    + 400 is 1,249,122 packets.
     """
     if classes < 1:
         raise ValueError("classes must be >= 1")

@@ -19,7 +19,7 @@ with r the expected ratio of unmonitored to monitored visits (default
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -118,6 +118,32 @@ def train_test_split(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
 # distance gate. Stands in for the neural-network attacks, which are out
 # of desk-scale reach; defaults stay fixed across all experimental
 # conditions.
+#
+# Both the gate's training and classify find the k nearest exemplars
+# exactly without measuring every one of them the exact way. A matmul
+# screen, ||q||^2 + ||e||^2 - 2 q.e, ranks all exemplars (||q||^2 is the
+# same for every exemplar, so it is left out of the sum); every exemplar
+# within _SCREEN_MARGIN of the screen's k-th value is a candidate, and only
+# candidates are measured with _distances. For d = 49 features the screen
+# is off from the exact squared distance by less than about
+# 3 * d * 2**-53 * (||q||^2 + ||e||^2), i.e. 1.6e-14 * (...), and so is
+# the squared sum inside _distances; the gap that keeps sqrt from rounding
+# a screened-out distance onto the k-th one is at most 2**-50 * (...).
+# A margin of 1e-12 * (||q||^2 + max ||e||^2) covers all of them more than
+# tenfold, so every exemplar left out is strictly farther than each of the
+# k the screen ranks first: the k nearest, ties at the k-th place
+# included, are always candidates.
+_SCREEN_MARGIN = 1e-12
+
+# Exemplars screened per block while training, so memory is
+# O(_BLOCK_ROWS * m) floats, never m x m.
+_BLOCK_ROWS = 256
+
+
+def _distances(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row to query (a vector, or one query
+    per row): the one distance the gate is trained on and classify uses."""
+    return np.sqrt(((rows - query) ** 2).sum(axis=1))
 
 
 @dataclass
@@ -128,6 +154,11 @@ class Classifier:
     labels: tuple[str, ...]
     k: int
     tau: float  # open-world distance threshold
+    # squared exemplar norms for the screen, derived when built
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.sq_norms = (self.exemplars**2).sum(axis=1)
 
 
 def train_classifier(
@@ -136,7 +167,8 @@ def train_classifier(
     """Fit the feature standardization, exemplar store, and rejection gate.
 
     tau is the given quantile of each monitored exemplar's distance to its
-    k-th nearest neighbor among the monitored exemplars themselves.
+    k-th nearest neighbor among the other monitored exemplars, measured
+    as classify measures a query's.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -164,13 +196,35 @@ def train_classifier(
     if m <= k:
         raise ValueError(f"need more than k={k} monitored exemplars, have {m}")
 
-    sq = (exemplars**2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (exemplars @ exemplars.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, np.inf)
-    kth = np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
-    tau = float(np.quantile(kth, threshold_quantile))
+    tau = float(np.quantile(_kth_distances(exemplars, k), threshold_quantile))
     return Classifier(mean, std, exemplars, labels, k, tau)
+
+
+def _kth_distances(exemplars: np.ndarray, k: int) -> np.ndarray:
+    """Each exemplar's distance to its k-th nearest other exemplar."""
+    m = len(exemplars)
+    sq = (exemplars**2).sum(axis=1)
+    margin = _SCREEN_MARGIN * (sq + sq.max())
+    kth = np.empty(m)
+    for lo in range(0, m, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, m)
+        screen = (-2.0 * exemplars[lo:hi]) @ exemplars.T
+        screen += sq
+        diagonal = np.arange(hi - lo)
+        screen[diagonal, lo + diagonal] = np.inf  # no exemplar is its own neighbor
+        bound = np.partition(screen, k - 1, axis=1)[:, k - 1] + margin[lo:hi]
+        rows, cols = np.divmod(np.flatnonzero(screen <= bound[:, None]), m)
+        # chunks keep the differences no larger than the screen
+        step = screen.size // exemplars.shape[1] + 1
+        chunks = [slice(s, s + step) for s in range(0, len(rows), step)]
+        dists = np.concatenate(
+            [_distances(exemplars[cols[c]], exemplars[lo + rows[c]]) for c in chunks]
+        )
+        # each row's candidates by distance; the row's k-th is its answer
+        by_row = dists[np.lexsort((dists, rows))]
+        counts = np.bincount(rows, minlength=hi - lo)
+        kth[lo:hi] = by_row[np.cumsum(counts) - counts + (k - 1)]
+    return kth
 
 
 def classify(model: Classifier, trace: Trace) -> str:
@@ -178,20 +232,28 @@ def classify(model: Classifier, trace: Trace) -> str:
 
     A trace whose k-th nearest exemplar is farther than tau is rejected as
     unmonitored; otherwise the plurality label among the k nearest wins,
-    ties broken by summed distance then lexical label order. Empty traces
-    are unmonitored by definition.
+    ties broken by summed distance then lexical label order. Among equally
+    distant exemplars the lower index is nearer. Empty traces are
+    unmonitored by definition.
     """
     if not len(trace):
         return UNMONITORED_LABEL
     query = (extract_features(trace) - model.mean) / model.std
-    dists = np.sqrt(((model.exemplars - query) ** 2).sum(axis=1))
+    k = min(model.k, len(model.exemplars))
+    screen = model.exemplars @ (-2.0 * query)
+    screen += model.sq_norms
+    margin = _SCREEN_MARGIN * (query @ query + model.sq_norms.max())
+    bound = np.partition(screen, k - 1)[k - 1] + margin
+    # near is ascending, so the stable sort breaks ties by index as a
+    # stable sort of all m distances does
+    near = np.flatnonzero(screen <= bound)
+    dists = _distances(model.exemplars[near], query)
     order = np.argsort(dists, kind="stable")
-    k = min(model.k, len(order))
     if dists[order[k - 1]] > model.tau:
         return UNMONITORED_LABEL
     tally: dict[str, list[float]] = {}
     for j in order[:k]:
-        entry = tally.setdefault(model.labels[j], [0, 0.0])
+        entry = tally.setdefault(model.labels[near[j]], [0, 0.0])
         entry[0] += 1
         entry[1] += float(dists[j])
     return min(tally.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0]

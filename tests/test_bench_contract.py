@@ -63,3 +63,34 @@ def test_probe_counters_read_loaded_traces_and_split_results(bench, tmp_path):
     assert counts["subtraces"] == len(split_dataset(dataset, config))
     assert counts["subtraces"] + counts["empty_subtraces"] == 3 * len(dataset)
     assert counts["empty_subtraces"] >= 2
+
+
+def test_every_probe_is_called_by_the_cli_flow(bench, tmp_path, monkeypatch):
+    """The traced run has spans only for probes the flow calls through
+    them: a layer batched into a call the probe does not see would leave
+    its per-layer metrics empty."""
+    calls = defaultdict(int)
+
+    def counting(key, function):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    probes = [(module, attr) for module, attr, _, _ in bench.PROBES]
+    for module, attr in probes:
+        owner = getattr(pathsplit, module)
+        monkeypatch.setattr(owner, attr, counting((module, attr), getattr(owner, attr)))
+    data = tmp_path / "d.ndjson"
+    for argv in (
+        ["generate", "--classes", "3", "--per-class", "4", "--unmonitored", "6",
+         "--seed", "7", "-o", str(data)],
+        ["split", "-i", str(data), "--strategy", "wr", "--paths", "2",
+         "--batch-packets", "20", "-o", str(tmp_path / "s.ndjson")],
+        ["evaluate", "-i", str(data), "--defense", "wr:2:20", "-o", str(tmp_path / "r.json")],
+        ["overhead", "--protocol", "quic", "--periods", "5,100", "--total-mb", "0.5",
+         "--reps", "1", "-o", str(tmp_path / "o.csv")],
+    ):
+        assert pathsplit.cli.main(argv) == 0
+    assert [key for key in probes if not calls[key]] == []

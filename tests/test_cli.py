@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -207,6 +208,24 @@ def test_csv_trace_id_reappearing_exits_1(tmp_path, capsys):
                 "-o", str(tmp_path / "s.csv")])
     assert code == 1
     assert "line 4" in capsys.readouterr().err
+
+
+def test_csv_field_beyond_csv_module_limit_is_refused_by_line(tmp_path, capsys):
+    # the fast path takes a 200,000-character label; so must the slow
+    # path that names the line, though csv.reader's default limit is 131072
+    label = "x" * 200_000
+    bad = tmp_path / "long.csv"
+    bad.write_text(
+        "trace_id,label,monitored,timestamp_us,signed_size\n"
+        f"0,{label},true,0,100\n"
+        f"0,{label},true,5,0\n"
+    )
+    limit = csv.field_size_limit()
+    code = run(["split", "-i", str(bad), "--input-format", "csv",
+                "--strategy", "rr", "-o", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: line 3: zero-size packet")
+    assert csv.field_size_limit() == limit
 
 
 def _drop_seed(manifest):

@@ -1,9 +1,19 @@
+import dataclasses
+import gc
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from pathsplit.scheduler import SchedulerConfig, Strategy
+from pathsplit import wf_eval
+from pathsplit.scheduler import BoundaryMode, SchedulerConfig, Strategy, schedule
+from pathsplit.splitter import split
 from pathsplit.traces import Dataset, Trace, UNMONITORED_LABEL, generate_synthetic
 from pathsplit.wf_eval import (
+    Classifier,
     ConfusionCounts,
     FEATURE_DIM,
     classify,
@@ -11,6 +21,7 @@ from pathsplit.wf_eval import (
     evaluate_defense,
     extract_features,
     f1_score,
+    split_indices,
     tally_predictions,
     train_classifier,
     train_test_split,
@@ -186,6 +197,166 @@ def test_degenerate_training_sets_rejected():
     no_unmon = [flat_trace(10 + i, label=f"class-{i % 2:03d}") for i in range(6)]
     with pytest.raises(ValueError, match="unmonitored"):
         train_classifier(Dataset.from_traces(no_unmon))
+
+
+# --- the screened k-NN is exact: the dense rule it replaced is the oracle
+
+
+def full_scan_label(model, trace):
+    """classify's rule measured the dense way: every exemplar's distance,
+    a stable sort of all m, then the tally."""
+    if not len(trace):
+        return UNMONITORED_LABEL
+    query = (extract_features(trace) - model.mean) / model.std
+    dists = np.sqrt(((model.exemplars - query) ** 2).sum(axis=1))
+    order = np.argsort(dists, kind="stable")
+    k = min(model.k, len(order))
+    if dists[order[k - 1]] > model.tau:
+        return UNMONITORED_LABEL
+    tally = {}
+    for j in order[:k]:
+        entry = tally.setdefault(model.labels[j], [0, 0.0])
+        entry[0] += 1
+        entry[1] += float(dists[j])
+    return min(tally.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0]
+
+
+def dense_kth(exemplars, k):
+    """Each exemplar's distance to its k-th nearest other one, every pair
+    measured with classify's formula."""
+    dists = np.stack([np.sqrt(((exemplars - e) ** 2).sum(axis=1)) for e in exemplars])
+    np.fill_diagonal(dists, np.inf)
+    return np.partition(dists, k - 1, axis=1)[:, k - 1]
+
+
+def expanded_tau(exemplars, k, threshold_quantile=0.95):
+    """tau as training took it from one m x m array of expanded squared
+    distances, before the screened k-NN."""
+    sq = (exemplars**2).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (exemplars @ exemplars.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, np.inf)
+    kth = np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
+    return float(np.quantile(kth, threshold_quantile))
+
+
+def make_exemplars(k, extra, distinct, jitter, offset, seed):
+    """k + extra exemplars drawn from `distinct` integer rows, so rows
+    repeat exactly; half of them moved by `jitter` (near-duplicates); all
+    shifted by `offset` (about 1e6, the screen loses most digits)."""
+    rng = np.random.default_rng(seed)
+    m = k + extra
+    base = rng.integers(-2, 3, size=(distinct, FEATURE_DIM)).astype(float)
+    exemplars = base[rng.integers(0, distinct, size=m)]
+    moved = rng.random(m) < 0.5
+    exemplars[moved] += jitter * rng.standard_normal((int(moved.sum()), FEATURE_DIM))
+    return exemplars + offset, rng
+
+
+KNN_CASES = dict(
+    k=st.integers(1, 24),
+    extra=st.integers(1, 60),
+    distinct=st.integers(1, 8),
+    jitter=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
+    offset=st.sampled_from([0.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(**KNN_CASES, block_rows=st.sampled_from([1, 7, 256]))
+@example(k=1, extra=1, distinct=2, jitter=0.0, offset=0.0, seed=0, block_rows=256)
+@example(k=3, extra=1, distinct=4, jitter=1e-3, offset=0.0, seed=1, block_rows=1)
+@example(k=3, extra=40, distinct=2, jitter=0.0, offset=0.0, seed=2, block_rows=7)
+@example(k=3, extra=40, distinct=3, jitter=1e-6, offset=1e6, seed=3, block_rows=256)
+def test_training_kth_distances_equal_the_dense_oracle(
+    k, extra, distinct, jitter, offset, seed, block_rows
+):
+    exemplars, _ = make_exemplars(k, extra, distinct, jitter, offset, seed)
+    with mock.patch.object(wf_eval, "_BLOCK_ROWS", block_rows):
+        kth = wf_eval._kth_distances(exemplars, k)
+    assert kth.tobytes() == dense_kth(exemplars, k).tobytes()
+
+
+@given(
+    **KNN_CASES,
+    query_jitter=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+    gate=st.sampled_from(["open", "at", "below"]),
+)
+@example(k=1, extra=1, distinct=2, jitter=0.0, offset=0.0, seed=0, query_jitter=0.0,
+         gate="at")
+@example(k=3, extra=40, distinct=2, jitter=0.0, offset=0.0, seed=2, query_jitter=1e-3,
+         gate="open")
+@example(k=16, extra=2, distinct=5, jitter=0.0, offset=0.0, seed=1, query_jitter=0.0,
+         gate="open")  # a quicksort of the candidates breaks this k-th place tie
+@example(k=3, extra=40, distinct=3, jitter=1e-6, offset=1e6, seed=3, query_jitter=1e-9,
+         gate="below")
+def test_classify_labels_equal_the_full_scan(
+    k, extra, distinct, jitter, offset, seed, query_jitter, gate
+):
+    exemplars, rng = make_exemplars(k, extra, distinct, jitter, offset, seed)
+    m = len(exemplars)
+    labels = tuple(f"class-{c}" for c in rng.integers(0, 3, size=m))
+    target = exemplars[rng.integers(0, m)] + query_jitter * rng.standard_normal(FEATURE_DIM)
+    probe = flat_trace(10)
+    mean, std = extract_features(probe) - target, np.ones(FEATURE_DIM)
+    query = (extract_features(probe) - mean) / std
+    kth = np.sort(np.sqrt(((exemplars - query) ** 2).sum(axis=1)))[k - 1]
+    tau = {"open": np.inf, "at": kth, "below": np.nextafter(kth, -np.inf)}[gate]
+    model = Classifier(mean, std, exemplars, labels, k, float(tau))
+    assert classify(model, probe) == full_scan_label(model, probe)
+
+
+def benchmark_rows(classes, per_class, unmonitored, config, seed=1):
+    """(train, test) rows of evaluate_defense on a generated corpus."""
+    dataset = generate_synthetic(classes, per_class, unmonitored, seed=7)
+    sides = []
+    for indices in split_indices(dataset, seed):
+        rows = []
+        for i in indices:
+            trace = dataset.traces[i]
+            if config is None:
+                rows.append(trace)
+            else:
+                rows.extend(s for s in split(trace, schedule(trace, config, trace_index=i))
+                            if len(s))
+        sides.append(rows)
+    return sides
+
+
+LONG_TRACES = (20, 8, 50)
+MANY_TRACES = (9, 60, 40)
+WR_3_50 = SchedulerConfig(n_paths=3, strategy=Strategy.WEIGHTED_RANDOM,
+                          batch_packets=50, seed=1)
+WR_5_20MS = SchedulerConfig(n_paths=5, strategy=Strategy.WEIGHTED_RANDOM,
+                            boundary=BoundaryMode.TIME_WINDOW, window_us=20_000, seed=1)
+
+
+@pytest.mark.parametrize("corpus, config", [
+    (LONG_TRACES, None), (LONG_TRACES, WR_3_50),
+    (MANY_TRACES, None), (MANY_TRACES, WR_5_20MS),
+])
+def test_benchmark_corpora_keep_the_dense_labels(corpus, config):
+    train, test = benchmark_rows(*corpus, config)
+    model = train_classifier(Dataset.from_traces(train))
+    assert model.tau == float(np.quantile(dense_kth(model.exemplars, model.k), 0.95))
+    dense = dataclasses.replace(model, tau=expanded_tau(model.exemplars, model.k))
+    labels = [classify(model, t) for t in test]
+    assert labels == [full_scan_label(dense, t) for t in test]
+    assert 0 < labels.count(UNMONITORED_LABEL) < len(labels)
+
+
+def test_training_memory_stays_within_row_blocks():
+    train, _ = benchmark_rows(*MANY_TRACES, WR_5_20MS)
+    dataset = Dataset.from_traces(train)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        model = train_classifier(dataset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.exemplars) == 1979  # one m x m float64 array is 31 MB
+    assert peak <= 25e6
 
 
 # --- metrics
