@@ -93,6 +93,19 @@ def _checked(build, *args, **kwargs):
         raise UsageError(str(exc)) from None
 
 
+def _check_seeds(subcommand: str, config: dict) -> None:
+    """Refuse every seed a runner passes on, its own and its scheduler's,
+    that would write the bytes of another seed: rand.stream_rng folds
+    seeds mod 2**63 and the overhead sweep's netsim._rep_seed mod 2**48."""
+    limit = 2**48 if subcommand == "overhead" else 2**63
+    seeds = {"seed": config.get("seed", 0)}
+    if isinstance(config.get("scheduler"), dict):
+        seeds["scheduler.seed"] = config["scheduler"].get("seed", 0)
+    for name, seed in seeds.items():
+        if type(seed) is not int or not 0 <= seed < limit:
+            raise ValueError(f"{name} must be an integer in [0, {limit}), got {seed!r}")
+
+
 def _require(ok: bool, message: str) -> None:
     """Refuse a flag value up front that the run would refuse only late."""
     if not ok:
@@ -268,6 +281,7 @@ def run_replay(manifest_path: str, output_override: str | None) -> None:
         raise ValueError(
             f"manifest config for {subcommand} lacks {', '.join(missing)}"
         )
+    _check_seeds(subcommand, config)
     try:
         runner(config)
     except TypeError as exc:
@@ -352,12 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> None:
     if args.subcommand != "replay":
-        # rand.stream_rng folds seeds mod 2**63 and the overhead sweep's
-        # netsim._rep_seed mod 2**48: a seed outside the range would write
-        # the bytes of another seed
-        limit = 2**48 if args.subcommand == "overhead" else 2**63
-        _require(0 <= args.seed < limit,
-                 f"--seed must be in [0, {limit}), got {args.seed}")
+        # --seed is also the scheduler's seed in split and evaluate
+        _checked(_check_seeds, args.subcommand, {"seed": args.seed})
     if args.subcommand == "generate":
         _require(args.classes >= 1, f"--classes must be >= 1, got {args.classes}")
         _require(args.per_class >= 1,

@@ -119,13 +119,14 @@ def train_test_split(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
 # of desk-scale reach; defaults stay fixed across all experimental
 # conditions.
 #
-# Both the gate's training and classify find the k nearest exemplars
-# exactly without measuring every one of them the exact way. A matmul
-# screen, ||q||^2 + ||e||^2 - 2 q.e, ranks all exemplars (||q||^2 is the
-# same for every exemplar, so it is left out of the sum); every exemplar
-# within _SCREEN_MARGIN of the screen's k-th value is a candidate, and only
-# candidates are measured with _distances. For d = 49 features the screen
-# is off from the exact squared distance by less than about
+# One search, _nearest, finds the k nearest exemplars exactly for the
+# gate's training and for classify alike, so tau is a quantile of the very
+# distance classify gates on. A matmul screen, ||q||^2 + ||e||^2 - 2 q.e,
+# ranks all exemplars (||q||^2 is the same for every exemplar of a query
+# row, so it is left out); every exemplar within _SCREEN_MARGIN of the
+# row's k-th screened value is a candidate, and only candidates are
+# measured with _distances. For d = 49 features the screen is off from the
+# exact squared distance by less than about
 # 3 * d * 2**-53 * (||q||^2 + ||e||^2), i.e. 1.6e-14 * (...), and so is
 # the squared sum inside _distances; the gap that keeps sqrt from rounding
 # a screened-out distance onto the k-th one is at most 2**-50 * (...).
@@ -135,14 +136,13 @@ def train_test_split(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
 # included, are always candidates.
 _SCREEN_MARGIN = 1e-12
 
-# Exemplars screened per block while training, so memory is
-# O(_BLOCK_ROWS * m) floats, never m x m.
+# Query rows screened per block, so memory is O(_BLOCK_ROWS * m) floats,
+# never m x m.
 _BLOCK_ROWS = 256
 
 
 def _distances(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each row to query (a vector, or one query
-    per row): the one distance the gate is trained on and classify uses."""
+    """Euclidean distance from each row to query (a vector, or one per row)."""
     return np.sqrt(((rows - query) ** 2).sum(axis=1))
 
 
@@ -196,35 +196,43 @@ def train_classifier(
     if m <= k:
         raise ValueError(f"need more than k={k} monitored exemplars, have {m}")
 
-    tau = float(np.quantile(_kth_distances(exemplars, k), threshold_quantile))
+    # each exemplar is its own nearest, at sqrt(0.0) = 0.0, the least
+    # distance there is: the (k+1)-th over all is the k-th over the others
+    _, dists = _nearest(exemplars, (exemplars**2).sum(axis=1), exemplars, k + 1)
+    tau = float(np.quantile(dists[:, k], threshold_quantile))
     return Classifier(mean, std, exemplars, labels, k, tau)
 
 
-def _kth_distances(exemplars: np.ndarray, k: int) -> np.ndarray:
-    """Each exemplar's distance to its k-th nearest other exemplar."""
+def _nearest(
+    exemplars: np.ndarray, sq_norms: np.ndarray, queries: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances, (len(queries), k) each, of every query row's
+    k nearest exemplars, nearest first; of equally distant exemplars the
+    lower index is nearer. sq_norms holds the exemplars' squared norms."""
     m = len(exemplars)
-    sq = (exemplars**2).sum(axis=1)
-    margin = _SCREEN_MARGIN * (sq + sq.max())
-    kth = np.empty(m)
-    for lo in range(0, m, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, m)
-        screen = (-2.0 * exemplars[lo:hi]) @ exemplars.T
-        screen += sq
-        diagonal = np.arange(hi - lo)
-        screen[diagonal, lo + diagonal] = np.inf  # no exemplar is its own neighbor
-        bound = np.partition(screen, k - 1, axis=1)[:, k - 1] + margin[lo:hi]
+    indices = np.empty((len(queries), k), dtype=np.intp)
+    distances = np.empty((len(queries), k))
+    for lo in range(0, len(queries), _BLOCK_ROWS):
+        block = queries[lo : lo + _BLOCK_ROWS]
+        screen = (-2.0 * block) @ exemplars.T
+        screen += sq_norms
+        margin = _SCREEN_MARGIN * ((block**2).sum(axis=1) + sq_norms.max())
+        bound = np.partition(screen, k - 1, axis=1)[:, k - 1] + margin
         rows, cols = np.divmod(np.flatnonzero(screen <= bound[:, None]), m)
         # chunks keep the differences no larger than the screen
         step = screen.size // exemplars.shape[1] + 1
         chunks = [slice(s, s + step) for s in range(0, len(rows), step)]
         dists = np.concatenate(
-            [_distances(exemplars[cols[c]], exemplars[lo + rows[c]]) for c in chunks]
+            [_distances(exemplars[cols[c]], block[rows[c]]) for c in chunks]
         )
-        # each row's candidates by distance; the row's k-th is its answer
-        by_row = dists[np.lexsort((dists, rows))]
-        counts = np.bincount(rows, minlength=hi - lo)
-        kth[lo:hi] = by_row[np.cumsum(counts) - counts + (k - 1)]
-    return kth
+        # each row's candidates by distance; cols ascend within a row and
+        # lexsort is stable, so ties keep the lower index first
+        order = np.lexsort((dists, rows))
+        counts = np.bincount(rows, minlength=len(block))
+        take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        indices[lo : lo + len(block)] = cols[take]
+        distances[lo : lo + len(block)] = dists[take]
+    return indices, distances
 
 
 def classify(model: Classifier, trace: Trace) -> str:
@@ -240,22 +248,14 @@ def classify(model: Classifier, trace: Trace) -> str:
         return UNMONITORED_LABEL
     query = (extract_features(trace) - model.mean) / model.std
     k = min(model.k, len(model.exemplars))
-    screen = model.exemplars @ (-2.0 * query)
-    screen += model.sq_norms
-    margin = _SCREEN_MARGIN * (query @ query + model.sq_norms.max())
-    bound = np.partition(screen, k - 1)[k - 1] + margin
-    # near is ascending, so the stable sort breaks ties by index as a
-    # stable sort of all m distances does
-    near = np.flatnonzero(screen <= bound)
-    dists = _distances(model.exemplars[near], query)
-    order = np.argsort(dists, kind="stable")
-    if dists[order[k - 1]] > model.tau:
+    (near,), (dists,) = _nearest(model.exemplars, model.sq_norms, query[None], k)
+    if dists[k - 1] > model.tau:
         return UNMONITORED_LABEL
     tally: dict[str, list[float]] = {}
-    for j in order[:k]:
-        entry = tally.setdefault(model.labels[near[j]], [0, 0.0])
+    for j, dist in zip(near, dists):
+        entry = tally.setdefault(model.labels[j], [0, 0.0])
         entry[0] += 1
-        entry[1] += float(dists[j])
+        entry[1] += float(dist)
     return min(tally.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0]
 
 

@@ -260,6 +260,29 @@ def _string_path_count(manifest):
     return manifest
 
 
+def _negative_seed(manifest):
+    # stream_rng would fold -1 onto 2**63 - 1
+    manifest["config"]["seed"] = -1
+    return manifest
+
+
+def _overhead_seed_2_48(manifest):
+    # netsim._rep_seed would fold 2**48 onto seed 0
+    manifest["subcommand"] = "overhead"
+    manifest["config"] = {
+        "protocol": "quic", "periods_ms": [10], "reps": 1, "paths": 2,
+        "rtt_ms": 50, "bandwidth_mbps": 10.0, "loss": 0.0, "total_mb": 0.1,
+        "validate_cache": False, "seed": 2**48, "output": "unused.csv",
+    }
+    return manifest
+
+
+def _scheduler_seed_2_63(manifest):
+    manifest = _string_path_count(manifest)
+    manifest["config"]["scheduler"] = {"n_paths": 3, "strategy": "wr", "seed": 2**63}
+    return manifest
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda manifest: [manifest], "not a JSON object"),
     (_drop_config, "config"),
@@ -267,6 +290,9 @@ def _string_path_count(manifest):
     (_old_version, "0.0.9"),
     (_null_classes, "generate has a value of the wrong type"),
     (_string_path_count, "evaluate has a value of the wrong type"),
+    (_negative_seed, "seed must be an integer in [0, 9223372036854775808), got -1"),
+    (_overhead_seed_2_48, "seed must be an integer in [0, 281474976710656)"),
+    (_scheduler_seed_2_63, "scheduler.seed must be an integer in [0, 9223372036854775808)"),
 ])
 def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, message):
     path = str(small_corpus) + ".manifest.json"
@@ -275,9 +301,12 @@ def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, mes
     bad = tmp_path / "bad.manifest.json"
     bad.write_text(json.dumps(mutate(manifest)))
     capsys.readouterr()
-    assert run(["replay", str(bad), "-o", str(tmp_path / "again.ndjson")]) == 1
+    again = tmp_path / "again.ndjson"
+    assert run(["replay", str(bad), "-o", str(again)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert not again.exists()
+    assert not (tmp_path / "again.ndjson.manifest.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

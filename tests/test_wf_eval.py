@@ -272,9 +272,49 @@ def test_training_kth_distances_equal_the_dense_oracle(
     k, extra, distinct, jitter, offset, seed, block_rows
 ):
     exemplars, _ = make_exemplars(k, extra, distinct, jitter, offset, seed)
+    sq_norms = (exemplars**2).sum(axis=1)
     with mock.patch.object(wf_eval, "_BLOCK_ROWS", block_rows):
-        kth = wf_eval._kth_distances(exemplars, k)
-    assert kth.tobytes() == dense_kth(exemplars, k).tobytes()
+        _, dists = wf_eval._nearest(exemplars, sq_norms, exemplars, k + 1)
+    assert dists[:, k].tobytes() == dense_kth(exemplars, k).tobytes()
+
+
+@given(
+    **KNN_CASES,
+    training=st.booleans(),
+    n_queries=st.integers(1, 20),
+    query_jitter=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+    block_rows=st.sampled_from([1, 7, 256]),
+)
+@example(k=1, extra=1, distinct=1, jitter=0.0, offset=0.0, seed=0, training=True,
+         n_queries=1, query_jitter=0.0, block_rows=256)  # m = k + 1, all equal
+@example(k=3, extra=1, distinct=2, jitter=0.0, offset=0.0, seed=1, training=True,
+         n_queries=1, query_jitter=0.0, block_rows=7)
+@example(k=4, extra=30, distinct=2, jitter=0.0, offset=1e6, seed=2, training=True,
+         n_queries=1, query_jitter=0.0, block_rows=1)
+@example(k=5, extra=20, distinct=3, jitter=0.0, offset=0.0, seed=3, training=False,
+         n_queries=20, query_jitter=0.0, block_rows=7)
+def test_search_equals_a_dense_stable_argsort(
+    k, extra, distinct, jitter, offset, seed, training, n_queries, query_jitter,
+    block_rows
+):
+    # training asks for k + 1 neighbours of every exemplar, so a query's
+    # exact duplicates at lower indices tie with the query itself at 0.0
+    exemplars, rng = make_exemplars(k, extra, distinct, jitter, offset, seed)
+    m = len(exemplars)
+    if training:
+        queries, k = exemplars, k + 1
+    else:
+        queries = exemplars[rng.integers(0, m, size=n_queries)]
+        moved = rng.random(n_queries) < 0.5
+        queries[moved] += query_jitter * rng.standard_normal((int(moved.sum()), FEATURE_DIM))
+    with mock.patch.object(wf_eval, "_BLOCK_ROWS", block_rows):
+        indices, dists = wf_eval._nearest(
+            exemplars, (exemplars**2).sum(axis=1), queries, k
+        )
+    dense = np.stack([wf_eval._distances(exemplars, q) for q in queries])
+    order = np.argsort(dense, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(indices, order)
+    assert dists.tobytes() == np.take_along_axis(dense, order, axis=1).tobytes()
 
 
 @given(
