@@ -20,7 +20,6 @@ from .traces import (
 )
 from .scheduler import (
     BoundaryMode,
-    PathAssignment,
     SchedulerConfig,
     Strategy,
     draw_connection_weights,
@@ -36,7 +35,6 @@ from .wf_eval import (
     extract_features,
     f1_score,
     train_classifier,
-    train_test_split,
 )
 from .netsim import (
     OverheadResult,
@@ -56,7 +54,6 @@ __all__ = [
     "DatasetFormatError",
     "EvalReport",
     "OverheadResult",
-    "PathAssignment",
     "PathModel",
     "Protocol",
     "SchedulerConfig",
@@ -83,5 +80,4 @@ __all__ = [
     "split_dataset",
     "sweep_frequencies",
     "train_classifier",
-    "train_test_split",
 ]

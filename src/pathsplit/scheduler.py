@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from .rand import stream_rng
-from .traces import Trace, int64_column
+from .traces import INT64_MAX, Trace
 
 _STREAM_SCHEDULE = 201
 
@@ -68,6 +68,10 @@ class SchedulerConfig:
             raise ValueError(f"batch_packets must be >= 1, got {self.batch_packets}")
         if self.window_us < 1:
             raise ValueError(f"window_us must be >= 1, got {self.window_us}")
+        for name in ("n_paths", "batch_packets", "window_us"):
+            value = getattr(self, name)
+            if value > INT64_MAX:  # schedule computes with it in int64
+                raise ValueError(f"{name} must be at most 2**63 - 1, got {value}")
         if not 0 < self.dirichlet_alpha < np.inf:  # refuses NaN too
             raise ValueError(
                 f"dirichlet_alpha must be finite and > 0, got {self.dirichlet_alpha}"
@@ -104,38 +108,6 @@ class SchedulerConfig:
         })
 
 
-@dataclass(frozen=True, eq=False)
-class PathAssignment:
-    """Per-packet path indices for one trace, as a read-only int64 array."""
-
-    path_per_packet: np.ndarray
-    n_paths: int
-    weights_used: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        paths = int64_column(self.path_per_packet)
-        if ((paths < 0) | (paths >= self.n_paths)).any():
-            raise ValueError("path index out of range")
-        object.__setattr__(self, "path_per_packet", paths)
-        if self.weights_used is not None:
-            if len(self.weights_used) != self.n_paths:
-                raise ValueError("weights_used must have n_paths entries")
-            if abs(sum(self.weights_used) - 1.0) > 1e-9:
-                raise ValueError("weights_used must sum to 1")
-
-    def __eq__(self, other):
-        if not isinstance(other, PathAssignment):
-            return NotImplemented
-        return (
-            self.n_paths == other.n_paths
-            and self.weights_used == other.weights_used
-            and np.array_equal(self.path_per_packet, other.path_per_packet)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.path_per_packet.tobytes(), self.n_paths, self.weights_used))
-
-
 def draw_connection_weights(
     n_paths: int, alpha: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -148,8 +120,9 @@ def draw_connection_weights(
     return weights / weights.sum()
 
 
-def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> PathAssignment:
-    """Assign a path to every packet of the trace.
+def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> np.ndarray:
+    """Assign a path to every packet of the trace: an int64 array of path
+    indices in [0, config.n_paths), one per packet.
 
     Deterministic in (trace, config, trace_index): random strategies use
     the stream named by (config.seed, trace_index) so traces of a dataset
@@ -162,11 +135,10 @@ def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> Pat
         # a trace no longer than the handshake never switches
         paths = np.full(len(trace), config.direct_path, dtype=np.int64)
         paths[:config.handshake_packets] = config.vpn_path
-        return PathAssignment(paths, config.n_paths)
+        return paths
 
     n = len(trace)
     rng = stream_rng(config.seed, _STREAM_SCHEDULE, trace_index)
-    weights = None
     if config.strategy is Strategy.WEIGHTED_RANDOM:
         weights = draw_connection_weights(config.n_paths, config.dirichlet_alpha, rng)
 
@@ -184,9 +156,4 @@ def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> Pat
         per_block = rng.integers(0, config.n_paths, size=len(block_ids))
     else:
         per_block = rng.choice(config.n_paths, size=len(block_ids), p=weights)
-
-    return PathAssignment(
-        per_block[inverse],
-        config.n_paths,
-        tuple(float(w) for w in weights) if weights is not None else None,
-    )
+    return per_block[inverse]

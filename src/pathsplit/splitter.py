@@ -12,24 +12,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scheduler import PathAssignment, SchedulerConfig, schedule
-from .traces import Dataset, Trace
+from .scheduler import SchedulerConfig, schedule
+from .traces import Dataset, Trace, int64_column
 
 
-def split(trace: Trace, assignment: PathAssignment) -> list[Trace]:
+def split(trace: Trace, paths: np.ndarray, n_paths: int) -> list[Trace]:
     """Partition a trace into one subtrace per path, on the parent's clock.
 
-    Entry i is what path i carries; paths that saw nothing get an empty
-    trace. Subtraces inherit the parent's label and monitored flag.
+    paths holds one path index in [0, n_paths) per packet, as
+    :func:`~pathsplit.scheduler.schedule` returns it. Entry i of the result
+    is what path i carries; paths that saw nothing get an empty trace.
+    Subtraces inherit the parent's label and monitored flag.
     """
-    paths = assignment.path_per_packet
+    paths = int64_column(paths)
     if len(paths) != len(trace):
         raise ValueError(
             f"assignment length {len(paths)} does not "
             f"match trace length {len(trace)}"
         )
+    if ((paths < 0) | (paths >= n_paths)).any():
+        raise ValueError(f"path index out of range [0, {n_paths})")
     subtraces = []
-    for i in range(assignment.n_paths):
+    for i in range(n_paths):
         on_path = paths == i
         subtraces.append(Trace(trace.times_us[on_path], trace.signed_size[on_path],
                                trace.label, trace.monitored))
@@ -64,6 +68,6 @@ def split_dataset(dataset: Dataset, config: SchedulerConfig) -> Dataset:
     """
     out: list[Trace] = []
     for index, trace in enumerate(dataset.traces):
-        assignment = schedule(trace, config, trace_index=index)
-        out.extend(sub for sub in split(trace, assignment) if len(sub))
+        paths = schedule(trace, config, trace_index=index)
+        out.extend(sub for sub in split(trace, paths, config.n_paths) if len(sub))
     return Dataset.from_traces(out)

@@ -105,14 +105,6 @@ def split_indices(dataset: Dataset, seed: int) -> tuple[list[int], list[int]]:
     return train_idx, test_idx
 
 
-def train_test_split(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic stratified 9:1 split into disjoint train/test sets."""
-    train_idx, test_idx = split_indices(dataset, seed)
-    train = Dataset.from_traces(dataset.traces[i] for i in train_idx)
-    test = Dataset.from_traces(dataset.traces[i] for i in test_idx)
-    return train, test
-
-
 # ---------------------------------------------------------------------------
 # Baseline classifier: k-NN over standardized features with an open-world
 # distance gate. Stands in for the neural-network attacks, which are out
@@ -395,8 +387,9 @@ def evaluate_defense(
             if scheduler_config is None:
                 rows.append(trace)
                 continue
-            assignment = schedule(trace, scheduler_config, trace_index=i)
-            rows.extend(sub for sub in split(trace, assignment) if len(sub))
+            paths = schedule(trace, scheduler_config, trace_index=i)
+            rows.extend(sub for sub in split(trace, paths, scheduler_config.n_paths)
+                        if len(sub))
         return rows
 
     train_rows = expand(train_idx)

@@ -156,7 +156,7 @@ def test_criterion_7_split_merge_conservation(corpus):
             handshake_packets=int(rng.integers(1, 40)),
             seed=int(rng.integers(0, 1_000_000)),
         )
-        subs = split(trace, schedule(trace, config, trace_index=rep))
+        subs = split(trace, schedule(trace, config, trace_index=rep), config.n_paths)
         assert merge(subs) == trace
         assert sum(len(s.packets) for s in subs) == len(trace)
         assert (sum(abs(p[1]) for s in subs for p in s.packets)

@@ -54,9 +54,10 @@ def test_probe_counters_read_loaded_traces_and_split_results(bench, tmp_path):
     counts = defaultdict(float)
     bench._count_loaded(counts, dataset, path, "ndjson")
     for index, trace in enumerate(dataset.traces):
-        assignment = schedule(trace, config, trace_index=index)
-        bench._count_scheduled(counts, assignment, trace, config, trace_index=index)
-        bench._count_split(counts, split(trace, assignment), trace, assignment)
+        paths = schedule(trace, config, trace_index=index)
+        bench._count_scheduled(counts, paths, trace, config, trace_index=index)
+        bench._count_split(counts, split(trace, paths, config.n_paths), trace, paths,
+                           config.n_paths)
 
     packets = sum(len(t) for t in dataset.traces)
     assert counts["load_packets"] == counts["schedule_packets"] == packets

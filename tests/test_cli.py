@@ -283,6 +283,25 @@ def _scheduler_seed_2_63(manifest):
     return manifest
 
 
+def _scheduler_batch_2_63(manifest):
+    # schedule would overflow dividing the int64 packet index by it
+    manifest = _string_path_count(manifest)
+    manifest["config"]["scheduler"] = {"n_paths": 3, "strategy": "wr",
+                                       "batch_packets": 2**63}
+    return manifest
+
+
+def _split_window_2_63(manifest):
+    manifest["subcommand"] = "split"
+    manifest["config"] = {
+        "input": manifest["config"]["output"], "input_format": "ndjson",
+        "scheduler": {"n_paths": 2, "strategy": "rr", "boundary": "time",
+                      "window_us": 2**63},
+        "output": "unused.ndjson", "format": "ndjson",
+    }
+    return manifest
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda manifest: [manifest], "not a JSON object"),
     (_drop_config, "config"),
@@ -293,6 +312,8 @@ def _scheduler_seed_2_63(manifest):
     (_negative_seed, "seed must be an integer in [0, 9223372036854775808), got -1"),
     (_overhead_seed_2_48, "seed must be an integer in [0, 281474976710656)"),
     (_scheduler_seed_2_63, "scheduler.seed must be an integer in [0, 9223372036854775808)"),
+    (_scheduler_batch_2_63, "batch_packets must be at most 2**63 - 1"),
+    (_split_window_2_63, "window_us must be at most 2**63 - 1"),
 ])
 def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, message):
     path = str(small_corpus) + ".manifest.json"
@@ -328,6 +349,9 @@ def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, mes
     ["split", "--strategy", "rr", "--boundary", "time", "--window-ms", "0"],
     ["split", "--strategy", "wr", "--alpha", "nan"],
     ["split", "--alpha", "nan", "--strategy", "rr"],
+    ["split", "--strategy", "wr", "--batch-packets", "99999999999999999999"],
+    ["split", "--strategy", "wr", "--boundary", "time", "--window-ms", "99999999999999999"],
+    ["evaluate", "--defense", "wr:3:99999999999999999999"],
     ["generate", "--per-class", "8", "--classes", "0"],
     ["generate", "--classes", "2", "--per-class", "0"],
     ["generate", "--classes", "2", "--per-class", "8", "--unmonitored", "-1"],

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from pathsplit.scheduler import (
     BoundaryMode,
-    PathAssignment,
     SchedulerConfig,
     Strategy,
     schedule,
@@ -183,13 +182,18 @@ def test_merge_inverts_split_and_conserves(trace, data):
     n_paths = data.draw(st.integers(2, 5))
     paths = data.draw(st.lists(st.integers(0, n_paths - 1),
                                min_size=len(trace), max_size=len(trace)))
-    subs = split(trace, PathAssignment(paths, n_paths))
+    subs = split(trace, paths, n_paths)
+    assert len(subs) == n_paths
     assert merge(subs) == trace
     assert sum(len(s) for s in subs) == len(trace)
     assert sum(s.total_bytes for s in subs) == trace.total_bytes
     for i, s in enumerate(subs):
         on_path = np.asarray(paths) == i
         assert np.array_equal(s.times_us, trace.times_us[on_path])
+    bad = data.draw(st.one_of(st.integers(INT64_MIN, -1), st.integers(n_paths, INT64_MAX)))
+    at = data.draw(st.integers(0, len(trace) - 1))
+    with pytest.raises(ValueError, match="out of range"):
+        split(trace, paths[:at] + [bad] + paths[at + 1:], n_paths)
 
 
 @given(
@@ -210,7 +214,7 @@ def test_schedule_is_a_function_of_seed_and_trace_index(
     first = schedule(trace, config, trace_index=index)
     schedule(trace, config, trace_index=index + 1)  # no state carries over
     copy = Trace(trace.times_us.copy(), trace.signed_size.copy(), "other", True)
-    assert schedule(copy, config, trace_index=index) == first
+    assert np.array_equal(schedule(copy, config, trace_index=index), first)
 
 
 @given(trace=raw_traces(size=small_sizes, max_time=10**12), shift=st.integers(0, 10**12))

@@ -3,7 +3,6 @@ import pytest
 from pathsplit.rand import stream_rng
 from pathsplit.scheduler import (
     BoundaryMode,
-    PathAssignment,
     SchedulerConfig,
     Strategy,
     schedule,
@@ -26,14 +25,13 @@ def test_even_round_robin_partition():
     trace = mk_trace([(i * 10, 100) for i in range(6)])
     config = SchedulerConfig(n_paths=3, strategy=Strategy.ROUND_ROBIN,
                              batch_packets=2)
-    subs = split(trace, schedule(trace, config))
+    subs = split(trace, schedule(trace, config), config.n_paths)
     assert [len(s) for s in subs] == [2, 2, 2]
 
 
 def test_constant_assignment_is_identity_on_path0():
     trace = mk_trace([(0, 100), (5, -200), (9, 50)])
-    assignment = PathAssignment((0, 0, 0), n_paths=3)
-    subs = split(trace, assignment)
+    subs = split(trace, [0, 0, 0], 3)
     assert subs[0].times_us.tolist() == trace.times_us.tolist()
     assert subs[0].signed_size.tolist() == trace.signed_size.tolist()
     assert len(subs[1]) == 0 and len(subs[2]) == 0
@@ -46,7 +44,7 @@ def test_time_window_round_robin_worked_example():
     trace = mk_trace([(0, 100), (50_000, 100), (120_000, -200), (260_000, 100)])
     config = SchedulerConfig(n_paths=2, strategy=Strategy.ROUND_ROBIN,
                              boundary=BoundaryMode.TIME_WINDOW, window_us=100_000)
-    subs = split(trace, schedule(trace, config))
+    subs = split(trace, schedule(trace, config), config.n_paths)
     assert subs[0].times_us.tolist() == [0, 50_000, 260_000]
     assert subs[1].times_us.tolist() == [120_000]
 
@@ -55,7 +53,7 @@ def test_subtrace_keeps_parent_clock_and_can_rebase():
     trace = mk_trace([(0, 100), (50_000, 100), (120_000, -200), (260_000, 100)])
     config = SchedulerConfig(n_paths=2, strategy=Strategy.ROUND_ROBIN,
                              boundary=BoundaryMode.TIME_WINDOW, window_us=100_000)
-    sub = split(trace, schedule(trace, config))[1]
+    sub = split(trace, schedule(trace, config), config.n_paths)[1]
     assert sub.times_us[0] == 120_000  # parent clock by default
     assert normalize_trace(sub).times_us[0] == 0
 
@@ -76,7 +74,7 @@ def test_merge_inverts_split_on_random_pairs():
             handshake_packets=int(rng.integers(1, 30)),
             seed=int(rng.integers(0, 1_000_000)),
         )
-        subs = split(trace, schedule(trace, config, trace_index=rep))
+        subs = split(trace, schedule(trace, config, trace_index=rep), config.n_paths)
         merged = merge(subs)
         assert merged == trace
         # conservation: packet and byte totals
@@ -98,15 +96,14 @@ def test_merge_single_nonempty_subtrace():
 def test_merge_tie_break_by_path_then_order():
     # equal timestamps on different paths come back in path order
     trace = mk_trace([(5, 100), (5, -200)])
-    assignment = PathAssignment((0, 1), n_paths=2)
-    subs = split(trace, assignment)
+    subs = split(trace, [0, 1], 2)
     assert merge(subs) == trace
 
 
 def test_split_length_mismatch_rejected():
     trace = mk_trace([(0, 100), (1, 100)])
     with pytest.raises(ValueError, match="length"):
-        split(trace, PathAssignment((0,), n_paths=2))
+        split(trace, [0], 2)
 
 
 def test_merge_empty_list_rejected():
@@ -132,7 +129,7 @@ def test_split_dataset_keeps_empty_subtraces_on_request():
     ds = Dataset.from_traces([mk_trace([(0, 100)])])
     config = SchedulerConfig(n_paths=3, strategy=Strategy.ROUND_ROBIN,
                              batch_packets=50)
-    subs = split(ds.traces[0], schedule(ds.traces[0], config))
+    subs = split(ds.traces[0], schedule(ds.traces[0], config), config.n_paths)
     assert sum(1 for t in subs if not len(t)) == 2
     dropped = split_dataset(ds, config)
     assert len(dropped) == 1

@@ -24,7 +24,6 @@ from pathsplit.wf_eval import (
     split_indices,
     tally_predictions,
     train_classifier,
-    train_test_split,
 )
 
 
@@ -82,8 +81,8 @@ def test_split_is_9_to_1_per_class():
     traces += [flat_trace(20 + i, label="class-001") for i in range(50)]
     traces += [flat_trace(5 + i, label=UNMONITORED_LABEL, monitored=False)
                for i in range(20)]
-    train, test = train_test_split(Dataset.from_traces(traces), seed=0)
-    count = lambda ds, lab: sum(1 for t in ds.traces if t.label == lab)
+    train, test = split_indices(Dataset.from_traces(traces), seed=0)
+    count = lambda idx, lab: sum(1 for i in idx if traces[i].label == lab)
     assert count(train, "class-000") == 45 and count(test, "class-000") == 5
     assert count(train, "class-001") == 45 and count(test, "class-001") == 5
     assert count(train, UNMONITORED_LABEL) == 18 and count(test, UNMONITORED_LABEL) == 2
@@ -93,19 +92,16 @@ def test_split_rounding_convention_on_large_unmonitored_pool():
     # 16,182 unmonitored -> 14,563 train + 1,619 test (test = ceil(n/10))
     traces = [flat_trace(3, label=UNMONITORED_LABEL, monitored=False)
               for _ in range(16_182)]
-    train, test = train_test_split(Dataset.from_traces(traces), seed=1)
+    train, test = split_indices(Dataset.from_traces(traces), seed=1)
     assert len(train) == 14_563
     assert len(test) == 1_619
 
 
 def test_split_deterministic_and_disjoint():
     ds = generate_synthetic(4, 5, 12, seed=3)
-    a_train, a_test = train_test_split(ds, seed=5)
-    b_train, b_test = train_test_split(ds, seed=5)
-    assert a_train.traces == b_train.traces and a_test.traces == b_test.traces
-    assert len(a_train) + len(a_test) == len(ds)
-    ids = {id(t) for t in a_train.traces} & {id(t) for t in a_test.traces}
-    assert not ids
+    a_train, a_test = split_indices(ds, seed=5)
+    assert split_indices(ds, seed=5) == (a_train, a_test)
+    assert sorted(a_train + a_test) == list(range(len(ds)))
 
 
 def test_split_rejects_single_trace_class():
@@ -113,7 +109,7 @@ def test_split_rejects_single_trace_class():
               flat_trace(12, label="class-001"),
               flat_trace(14, label="class-001")]
     with pytest.raises(ValueError, match="class-000"):
-        train_test_split(Dataset.from_traces(traces), seed=0)
+        split_indices(Dataset.from_traces(traces), seed=0)
 
 
 # --- classifier
@@ -357,8 +353,8 @@ def benchmark_rows(classes, per_class, unmonitored, config, seed=1):
             if config is None:
                 rows.append(trace)
             else:
-                rows.extend(s for s in split(trace, schedule(trace, config, trace_index=i))
-                            if len(s))
+                paths = schedule(trace, config, trace_index=i)
+                rows.extend(s for s in split(trace, paths, config.n_paths) if len(s))
         sides.append(rows)
     return sides
 
