@@ -26,7 +26,7 @@ from .netsim import (
     sweep_frequencies,
     sweep_to_csv,
 )
-from .scheduler import BoundaryMode, SchedulerConfig, Strategy
+from .scheduler import MAX_PATHS, BoundaryMode, SchedulerConfig, Strategy
 from .splitter import split_dataset
 from .traces import atomic_write_text, generate_synthetic, load_dataset, save_dataset
 from .wf_eval import evaluate_defense
@@ -202,6 +202,8 @@ def run_evaluate(config: dict) -> None:
 
 def _sweep_args(config: dict) -> dict:
     """The sweep_frequencies arguments an overhead config describes."""
+    if not 1 <= config["paths"] <= MAX_PATHS:
+        raise ValueError(f"paths must be in [1, {MAX_PATHS}], got {config['paths']}")
     path = PathModel(
         rtt_us=config["rtt_ms"] * 1000,
         bandwidth_bytes_per_s=int(config["bandwidth_mbps"] * 125_000),
@@ -444,7 +446,6 @@ def _dispatch(args: argparse.Namespace) -> None:
         _require(min(periods, default=0) >= 1,
                  f"--periods must name periods of at least 1 ms, got {args.periods!r}")
         _require(args.reps >= 1, f"--reps must be >= 1, got {args.reps}")
-        _require(args.paths >= 1, f"--paths must be >= 1, got {args.paths}")
         config = {
             "protocol": args.protocol,
             "periods_ms": periods,

@@ -34,6 +34,12 @@ from .traces import INT64_MAX, Trace
 
 _STREAM_SCHEDULE = 201
 
+# The most paths a config may name. split returns one subtrace per path,
+# empty or not, so its cost grows with the path count as well as with the
+# packets; a connection migrating over more than a thousand paths is far
+# beyond any deployment the lab models.
+MAX_PATHS = 1024
+
 
 class Strategy(str, enum.Enum):
     ROUND_ROBIN = "rr"
@@ -64,11 +70,13 @@ class SchedulerConfig:
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
+        if self.n_paths > MAX_PATHS:
+            raise ValueError(f"n_paths must be at most {MAX_PATHS}, got {self.n_paths}")
         if self.batch_packets < 1:
             raise ValueError(f"batch_packets must be >= 1, got {self.batch_packets}")
         if self.window_us < 1:
             raise ValueError(f"window_us must be >= 1, got {self.window_us}")
-        for name in ("n_paths", "batch_packets", "window_us"):
+        for name in ("batch_packets", "window_us"):
             value = getattr(self, name)
             if value > INT64_MAX:  # schedule computes with it in int64
                 raise ValueError(f"{name} must be at most 2**63 - 1, got {value}")

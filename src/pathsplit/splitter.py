@@ -32,12 +32,17 @@ def split(trace: Trace, paths: np.ndarray, n_paths: int) -> list[Trace]:
         )
     if ((paths < 0) | (paths >= n_paths)).any():
         raise ValueError(f"path index out of range [0, {n_paths})")
-    subtraces = []
-    for i in range(n_paths):
-        on_path = paths == i
-        subtraces.append(Trace(trace.times_us[on_path], trace.signed_size[on_path],
-                               trace.label, trace.monitored))
-    return subtraces
+    # one stable sort groups the packets by path in their original order;
+    # each subtrace is then a slice of the gathered columns
+    order = np.argsort(paths, kind="stable")
+    times = trace.times_us[order]
+    sizes = trace.signed_size[order]
+    times.flags.writeable = sizes.flags.writeable = False
+    ends = np.cumsum(np.bincount(paths, minlength=n_paths)).tolist()
+    return [
+        Trace._subset(times[start:end], sizes[start:end], trace)
+        for start, end in zip([0, *ends], ends)
+    ]
 
 
 def merge(subtraces: list[Trace]) -> Trace:

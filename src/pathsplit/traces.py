@@ -144,6 +144,22 @@ class Trace:
         object.__setattr__(self, "times_us", times)
         object.__setattr__(self, "signed_size", sizes)
 
+    @classmethod
+    def _subset(cls, times_us: np.ndarray, signed_size: np.ndarray,
+                parent: "Trace") -> "Trace":
+        """A trace of some of parent's packets, built without the checks.
+
+        times_us and signed_size must be read-only 1-D int64 columns of
+        equal length taken from parent's: every rule parent passed then
+        holds for them too.
+        """
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "times_us", times_us)
+        object.__setattr__(trace, "signed_size", signed_size)
+        object.__setattr__(trace, "label", parent.label)
+        object.__setattr__(trace, "monitored", parent.monitored)
+        return trace
+
     @property
     def packets(self) -> _PairView:
         """The packets as ``(timestamp_us, signed_size)`` int pairs."""
@@ -570,16 +586,21 @@ def _read_csv(path) -> list[Trace]:
     raise DatasetFormatError(message)
 
 
+def _flat_pairs(trace: Trace) -> tuple[int, ...]:
+    """The trace's (timestamp_us, signed_size) pairs, flattened, as ints."""
+    return tuple(np.column_stack((trace.times_us, trace.signed_size)).ravel().tolist())
+
+
 def _to_ndjson(dataset: Dataset) -> str:
+    # each line is json.dumps of {"label", "monitored", "packets"}; the
+    # packets are formatted by one % per trace, not one call per pair
     lines = []
     for trace in dataset.traces:
-        obj = {
-            "label": trace.label,
-            "monitored": trace.monitored,
-            "packets": np.column_stack((trace.times_us, trace.signed_size)).tolist(),
-        }
-        lines.append(json.dumps(obj, ensure_ascii=False, separators=(",", ":")))
-    return "".join(line + "\n" for line in lines)
+        head = json.dumps({"label": trace.label, "monitored": trace.monitored},
+                          ensure_ascii=False, separators=(",", ":"))
+        pairs = ("[%d,%d]," * len(trace))[:-1] % _flat_pairs(trace)
+        lines.append(f'{head[:-1]},"packets":[{pairs}]}}\n')
+    return "".join(lines)
 
 
 def _to_csv(dataset: Dataset) -> str:
@@ -596,12 +617,10 @@ def _to_csv(dataset: Dataset) -> str:
         head.seek(0)
         head.truncate()
         (quote_all if quoted else writer).writerow((i, trace.label, mon))
-        # the trace's row prefix, without its lineterminator, as a format string
-        prefix = head.getvalue()[:-1].replace("{", "{{").replace("}", "}}")
-        row = prefix + (',"{}","{}"\n' if quoted else ",{},{}\n")
-        buf.write("".join(map(
-            row.format, trace.times_us.tolist(), trace.signed_size.tolist()
-        )))
+        # the trace's row prefix, without its lineterminator, as a % template
+        prefix = head.getvalue()[:-1].replace("%", "%%")
+        row = prefix + (',"%d","%d"\n' if quoted else ",%d,%d\n")
+        buf.write((row * len(trace)) % _flat_pairs(trace))
     return buf.getvalue()
 
 

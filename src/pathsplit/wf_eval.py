@@ -115,10 +115,10 @@ def split_indices(dataset: Dataset, seed: int) -> tuple[list[int], list[int]]:
 # gate's training and for classify alike, so tau is a quantile of the very
 # distance classify gates on. A matmul screen, ||q||^2 + ||e||^2 - 2 q.e,
 # ranks all exemplars (||q||^2 is the same for every exemplar of a query
-# row, so it is left out); every exemplar within _SCREEN_MARGIN of the
-# row's k-th screened value is a candidate, and only candidates are
-# measured with _distances. For d = 49 features the screen is off from the
-# exact squared distance by less than about
+# row, so it is left out); every exemplar within _SCREEN_MARGIN of a bound
+# no less than the row's k-th screened value is a candidate, and only
+# candidates are measured with _distances. For d = 49 features the screen
+# is off from the exact squared distance by less than about
 # 3 * d * 2**-53 * (||q||^2 + ||e||^2), i.e. 1.6e-14 * (...), and so is
 # the squared sum inside _distances; the gap that keeps sqrt from rounding
 # a screened-out distance onto the k-th one is at most 2**-50 * (...).
@@ -131,6 +131,15 @@ _SCREEN_MARGIN = 1e-12
 # Query rows screened per block, so memory is O(_BLOCK_ROWS * m) floats,
 # never m x m.
 _BLOCK_ROWS = 256
+
+# Groups of exemplars when bounding a row's k-th screened value. Any k
+# entries of a row bound its k-th smallest from above, so the k-th
+# smallest of k or more per-group minima does; the screen stays exact. A
+# group takes every g-th column (j, j + g, j + 2g, ...), so its minima
+# are elementwise minima of contiguous column blocks, and exemplars near
+# in index (the same class, so often all k nearest) land in different
+# groups, which keeps the bound close to the k-th value itself.
+_SCREEN_GROUPS = 256
 
 
 def _distances(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -202,6 +211,8 @@ def _nearest(
     k nearest exemplars, nearest first; of equally distant exemplars the
     lower index is nearer. sq_norms holds the exemplars' squared norms."""
     m = len(exemplars)
+    groups = min(m, max(k, _SCREEN_GROUPS))
+    whole = m - m % groups  # the columns that fill every group equally
     indices = np.empty((len(queries), k), dtype=np.intp)
     distances = np.empty((len(queries), k))
     for lo in range(0, len(queries), _BLOCK_ROWS):
@@ -209,7 +220,10 @@ def _nearest(
         screen = (-2.0 * block) @ exemplars.T
         screen += sq_norms
         margin = _SCREEN_MARGIN * ((block**2).sum(axis=1) + sq_norms.max())
-        bound = np.partition(screen, k - 1, axis=1)[:, k - 1] + margin
+        minima = screen[:, :whole].reshape(len(block), -1, groups).min(axis=1)
+        tail = minima[:, : m - whole]
+        np.minimum(tail, screen[:, whole:], out=tail)
+        bound = np.partition(minima, k - 1, axis=1)[:, k - 1] + margin
         rows, cols = np.divmod(np.flatnonzero(screen <= bound[:, None]), m)
         # chunks keep the differences no larger than the screen
         step = screen.size // exemplars.shape[1] + 1

@@ -302,6 +302,18 @@ def _split_window_2_63(manifest):
     return manifest
 
 
+def _split_paths_over_cap(manifest):
+    manifest = _split_window_2_63(manifest)
+    manifest["config"]["scheduler"] = {"n_paths": 1025, "strategy": "rr"}
+    return manifest
+
+
+def _overhead_paths_over_cap(manifest):
+    manifest = _overhead_seed_2_48(manifest)
+    manifest["config"].update(seed=0, paths=1025)
+    return manifest
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda manifest: [manifest], "not a JSON object"),
     (_drop_config, "config"),
@@ -314,6 +326,8 @@ def _split_window_2_63(manifest):
     (_scheduler_seed_2_63, "scheduler.seed must be an integer in [0, 9223372036854775808)"),
     (_scheduler_batch_2_63, "batch_packets must be at most 2**63 - 1"),
     (_split_window_2_63, "window_us must be at most 2**63 - 1"),
+    (_split_paths_over_cap, "n_paths must be at most 1024, got 1025"),
+    (_overhead_paths_over_cap, "paths must be in [1, 1024], got 1025"),
 ])
 def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, message):
     path = str(small_corpus) + ".manifest.json"
@@ -340,6 +354,7 @@ def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, mes
     ["overhead", "--periods", "5,10,20,50,0"],
     ["overhead", "--periods", "10", "--reps", "0"],
     ["overhead", "--periods", "10", "--paths", "0"],
+    ["overhead", "--periods", "10", "--paths", "100000"],
     ["overhead", "--periods", "10", "--loss", "1.5"],
     ["overhead", "--periods", "10", "--rtt-ms", "0"],
     ["overhead", "--periods", "10", "--bandwidth-mbps", "0"],
@@ -350,6 +365,8 @@ def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, mes
     ["split", "--strategy", "wr", "--alpha", "nan"],
     ["split", "--alpha", "nan", "--strategy", "rr"],
     ["split", "--strategy", "wr", "--batch-packets", "99999999999999999999"],
+    ["split", "--strategy", "rr", "--paths", "1025"],
+    ["evaluate", "--defense", "rr:1025:50"],
     ["split", "--strategy", "wr", "--boundary", "time", "--window-ms", "99999999999999999"],
     ["evaluate", "--defense", "wr:3:99999999999999999999"],
     ["generate", "--per-class", "8", "--classes", "0"],

@@ -1,9 +1,11 @@
 """Property tests: loader round trips, the csv reader and writer against
-the csv module, the split/merge inverse, schedule determinism and
+the csv module, the ndjson writer against the json module, split against
+a boolean-mask oracle, the split/merge inverse, schedule determinism and
 clock-shift invariance of the features."""
 
 import csv
 import io
+import json
 from itertools import groupby
 
 import numpy as np
@@ -158,7 +160,9 @@ def test_csv_loader_agrees_with_csv_reader(tmp_path_factory, block_rows, body):
 
 
 writer_labels = st.lists(st.sampled_from(
-    ['"', ',', '\r', '\n', '{', '}', '{0}', '\t', 'é', ''])).map("".join)
+    ['"', ',', '\r', '\n', '{', '}', '{0}', '\t', 'é', '', '%', '%d', '%%', '%s',
+     'null}', '\\', '\u2028'])).map("".join)
+edge_sizes = st.one_of(sizes, st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 1, INT64_MAX]))
 
 
 @given(traces=st.lists(raw_traces(label=writer_labels), max_size=4))
@@ -175,6 +179,43 @@ def test_csv_writer_matches_csv_module(tmp_path_factory, traces):
             for ts, size in zip(t.times_us.tolist(), t.signed_size.tolist())
         )
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+@given(traces=st.lists(raw_traces(size=edge_sizes, label=writer_labels), max_size=4))
+def test_ndjson_writer_matches_json_module(tmp_path_factory, traces):
+    path = tmp_path_factory.mktemp("w") / "d.ndjson"
+    save_dataset(Dataset.from_traces(traces), path, "ndjson")
+    expected = "".join(
+        json.dumps({"label": t.label, "monitored": t.monitored,
+                    "packets": np.column_stack((t.times_us, t.signed_size)).tolist()},
+                   ensure_ascii=False, separators=(",", ":")) + "\n"
+        for t in traces
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@given(trace=raw_traces(), data=st.data())
+def test_split_matches_boolean_mask_oracle(trace, data):
+    n_paths = data.draw(st.integers(1, 3 * len(trace)))
+    assignment = data.draw(st.lists(st.integers(0, n_paths - 1),
+                                    min_size=len(trace), max_size=len(trace)))
+    kind = data.draw(st.sampled_from(["list", "int32", "read-only int64"]))
+    if kind == "int32":
+        assignment = np.asarray(assignment, dtype=np.int32)
+    elif kind == "read-only int64":
+        assignment = np.asarray(assignment, dtype=np.int64)
+        assignment.flags.writeable = False
+    subs = split(trace, assignment, n_paths)
+    assert len(subs) == n_paths
+    for i, sub in enumerate(subs):
+        on_path = np.asarray(assignment) == i
+        assert np.array_equal(sub.times_us, trace.times_us[on_path])
+        assert np.array_equal(sub.signed_size, trace.signed_size[on_path])
+        assert sub.times_us.dtype == sub.signed_size.dtype == np.int64
+        assert (sub.label, sub.monitored) == (trace.label, trace.monitored)
+        for column in (sub.times_us, sub.signed_size):
+            with pytest.raises(ValueError, match="read-only"):
+                column[...] = 1
 
 
 @given(trace=increasing_traces(), data=st.data())

@@ -3,6 +3,7 @@ import pytest
 
 from pathsplit.rand import stream_rng
 from pathsplit.scheduler import (
+    MAX_PATHS,
     BoundaryMode,
     SchedulerConfig,
     Strategy,
@@ -219,7 +220,10 @@ def test_config_validation():
             draw_connection_weights(3, alpha, stream_rng(0))
     with pytest.raises(ValueError):
         cfg(strategy=Strategy.CONTEXT_DEPENDENT, vpn_path=1, direct_path=1)
-    for name in ("n_paths", "batch_packets", "window_us"):
+    cfg(n_paths=MAX_PATHS)
+    with pytest.raises(ValueError, match=f"n_paths must be at most {MAX_PATHS}"):
+        cfg(n_paths=MAX_PATHS + 1)
+    for name in ("batch_packets", "window_us"):
         cfg(**{name: 2**63 - 1})
         with pytest.raises(ValueError, match=f"{name} must be at most 2\\*\\*63 - 1"):
             cfg(**{name: 2**63})
