@@ -40,7 +40,8 @@ def split(trace: Trace, paths: np.ndarray, n_paths: int) -> list[Trace]:
     times.flags.writeable = sizes.flags.writeable = False
     ends = np.cumsum(np.bincount(paths, minlength=n_paths)).tolist()
     return [
-        Trace._subset(times[start:end], sizes[start:end], trace)
+        Trace._subset(times[start:end], sizes[start:end], trace.label,
+                      trace.monitored)
         for start, end in zip([0, *ends], ends)
     ]
 

@@ -21,9 +21,13 @@ csv
     group. The grammar is ``csv.reader``'s with the default dialect. The
     loader parses it with numpy's C reader (``np.loadtxt``) in blocks of
     rows, not the whole file at once: the C reader makes a Python str of
-    every field, so a whole-file parse holds all of them at its peak, and
-    a label kept from it pins the allocator memory they shared. The
-    writer formats each trace's rows from one quoted prefix.
+    every text field, so a whole-file parse holds all of them at its
+    peak, and a label kept from it pins the allocator memory they shared.
+    The C reader converts the two number columns itself. It refuses some
+    spellings that ``int()`` takes (``1_0``, non-ASCII digits), and a file
+    holding one loads through a row-by-row ``csv.reader`` pass instead;
+    the same pass names the line of a faulty row. The writer formats each
+    trace's rows from one quoted prefix.
 
 In both formats a packet's direction rides on the sign of its size:
 positive is outgoing (client to server), negative is incoming. Zero sizes
@@ -32,7 +36,10 @@ trace so its first packet sits at t=0 with packets stably sorted by
 timestamp, and reject unknown fields or columns by name. The label
 "unmonitored" is reserved: traces with monitored=false must carry it and
 monitored traces must not. Building a :class:`Trace` checks the size,
-time and label rules; loaders parse and add the line to its refusal.
+time and label rules. Both loaders instead hand the whole file's columns
+to one builder, which sorts and rebases each trace in place, checks the
+timestamp span, size and label rules over whole columns and cuts the
+traces as read-only slices; the loaders add the line to its refusal.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ import os
 import sys
 import tempfile
 import warnings
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -146,18 +154,19 @@ class Trace:
 
     @classmethod
     def _subset(cls, times_us: np.ndarray, signed_size: np.ndarray,
-                parent: "Trace") -> "Trace":
-        """A trace of some of parent's packets, built without the checks.
+                label: str, monitored: bool) -> "Trace":
+        """A trace over columns known to pass the checks, built without them.
 
         times_us and signed_size must be read-only 1-D int64 columns of
-        equal length taken from parent's: every rule parent passed then
-        holds for them too.
+        equal length that keep every rule for (label, monitored): a slice
+        of a checked trace's columns with that trace's label and flag does,
+        and so does a trace :func:`_traces_from_columns` has checked.
         """
         trace = object.__new__(cls)
         object.__setattr__(trace, "times_us", times_us)
         object.__setattr__(trace, "signed_size", signed_size)
-        object.__setattr__(trace, "label", parent.label)
-        object.__setattr__(trace, "monitored", parent.monitored)
+        object.__setattr__(trace, "label", label)
+        object.__setattr__(trace, "monitored", monitored)
         return trace
 
     @property
@@ -292,17 +301,67 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-def _rebased(
-    times: np.ndarray, sizes: np.ndarray, label: str, monitored: bool
-) -> Trace:
-    """A non-empty trace read from a file, stably sorted and rebased to 0."""
-    times, sizes = _stable_sorted(times, sizes)
-    rel = times - times[0]  # array arithmetic: wraps without a warning
-    if rel[-1] < 0:  # max - min wrapped: the span exceeds int64
-        raise ValueError(
-            f"timestamps of trace {label!r} span more than the int64 range"
-        )
-    return Trace(rel, np.ascontiguousarray(sizes), label, monitored)
+class _TraceRuleError(ValueError):
+    """A trace read from a file breaks a rule; index is its place in the file."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _traces_from_columns(starts, heads, times: np.ndarray,
+                         sizes: np.ndarray) -> list[Trace]:
+    """The traces a file's columns hold, each stably sorted and rebased to 0.
+
+    times and sizes are the whole file's int64 columns, which this edits in
+    place and leaves read-only; starts holds the index of each trace's first
+    packet in file order, heads each trace's (label, monitored). Every
+    trace is non-empty. The checks run over whole columns; the first trace
+    in file order that breaks a rule raises :class:`_TraceRuleError` with
+    the message building it as a :class:`Trace` would give, its rules
+    taken in this order: the span of its timestamps fits in int64, no size
+    is zero, the reserved label is used as the flag says.
+    """
+    if not len(times):
+        return []
+    starts = np.asarray(starts, dtype=np.intp)
+    ends = np.append(starts[1:], len(times))
+    # a drop in timestamp is disorder unless it is where a trace begins
+    drops = np.flatnonzero(times[1:] < times[:-1]) + 1
+    owners = np.searchsorted(starts, drops, side="right") - 1
+    for t in set(owners[drops != starts[owners]].tolist()):
+        s, e = starts[t], ends[t]
+        order = np.argsort(times[s:e], kind="stable")
+        times[s:e] = times[s:e][order]
+        sizes[s:e] = sizes[s:e][order]
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    for s, e in bounds:  # per trace, so no column-sized temporary
+        times[s:e] -= times[s]  # array arithmetic: wraps without a warning
+    # a trace's last time wrapped below 0 iff its span exceeds int64
+    bad_span = times[ends - 1] < 0
+    zero_size = np.zeros(len(starts), dtype=bool)
+    zeros = np.flatnonzero(sizes == 0)
+    zero_size[np.searchsorted(starts, zeros, side="right") - 1] = True
+    bad_label = np.fromiter(
+        ((label == UNMONITORED_LABEL) == monitored for label, monitored in heads),
+        bool, len(heads),
+    )
+    broken = np.flatnonzero(bad_span | zero_size | bad_label)
+    if len(broken):
+        t = int(broken[0])
+        label, monitored = heads[t]
+        if bad_span[t]:
+            message = f"timestamps of trace {label!r} span more than the int64 range"
+        elif zero_size[t]:
+            message = "zero-size packet; sizes must be non-zero"
+        else:
+            message = _reserved_label_misuse(label, monitored)
+        raise _TraceRuleError(message, t)
+    times.flags.writeable = sizes.flags.writeable = False
+    return [
+        Trace._subset(times[s:e], sizes[s:e], label, monitored)
+        for (s, e), (label, monitored) in zip(bounds, heads)
+    ]
 
 
 def _in_int64(value: int) -> bool:
@@ -347,42 +406,68 @@ def _bad_ndjson_entry(entries: list, line: int) -> DatasetFormatError:
 
 
 def _read_ndjson(path) -> list[Trace]:
-    traces = []
+    lines: list[int] = []
+    starts: list[int] = []
+    heads: list[tuple[str, bool]] = []
+    # the file's columns grow in place, so no line's packets are held twice
+    times, sizes = array("q"), array("q")
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"invalid JSON: {exc.msg}", lineno) from None
-            if not isinstance(obj, dict):
-                raise DatasetFormatError("record is not a JSON object", lineno)
-            unknown = sorted(set(obj) - set(NDJSON_FIELDS))
-            if unknown:
-                raise DatasetFormatError(
-                    f"unknown field(s): {', '.join(unknown)}", lineno
-                )
-            missing = sorted(set(NDJSON_FIELDS) - set(obj))
-            if missing:
-                raise DatasetFormatError(
-                    f"missing field(s): {', '.join(missing)}", lineno
-                )
-            label, monitored, packets = obj["label"], obj["monitored"], obj["packets"]
-            if not isinstance(label, str):
-                raise DatasetFormatError("label must be a string", lineno)
-            if not isinstance(monitored, bool):
-                raise DatasetFormatError("monitored must be a boolean", lineno)
-            if not isinstance(packets, list):
-                raise DatasetFormatError("packets must be a list", lineno)
-            times, sizes = _ndjson_columns(packets, lineno)
-            if not len(times):
-                raise DatasetFormatError(f"empty trace (label {label!r})", lineno)
-            try:
-                traces.append(_rebased(times, sizes, label, monitored))
-            except ValueError as exc:
-                raise DatasetFormatError(str(exc), lineno) from None
-    return traces
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                label, monitored, line_times, line_sizes = _ndjson_record(line, lineno)
+                lines.append(lineno)
+                starts.append(len(times))
+                heads.append((label, monitored))
+                times.frombytes(line_times.tobytes())
+                sizes.frombytes(line_sizes.tobytes())
+        except DatasetFormatError:
+            # a trace on an earlier line that breaks a rule comes first
+            _ndjson_traces(lines, starts, heads, times, sizes)
+            raise
+    return _ndjson_traces(lines, starts, heads, times, sizes)
+
+
+def _ndjson_record(line: str, lineno: int):
+    """One ndjson line's label, monitored flag, times and sizes."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"invalid JSON: {exc.msg}", lineno) from None
+    if not isinstance(obj, dict):
+        raise DatasetFormatError("record is not a JSON object", lineno)
+    unknown = sorted(set(obj) - set(NDJSON_FIELDS))
+    if unknown:
+        raise DatasetFormatError(
+            f"unknown field(s): {', '.join(unknown)}", lineno
+        )
+    missing = sorted(set(NDJSON_FIELDS) - set(obj))
+    if missing:
+        raise DatasetFormatError(
+            f"missing field(s): {', '.join(missing)}", lineno
+        )
+    label, monitored, packets = obj["label"], obj["monitored"], obj["packets"]
+    if not isinstance(label, str):
+        raise DatasetFormatError("label must be a string", lineno)
+    if not isinstance(monitored, bool):
+        raise DatasetFormatError("monitored must be a boolean", lineno)
+    if not isinstance(packets, list):
+        raise DatasetFormatError("packets must be a list", lineno)
+    times, sizes = _ndjson_columns(packets, lineno)
+    if not len(times):
+        raise DatasetFormatError(f"empty trace (label {label!r})", lineno)
+    return label, monitored, times, sizes
+
+
+def _ndjson_traces(lines, starts, heads, times: array, sizes: array) -> list[Trace]:
+    """The traces of the ndjson lines read so far; a refusal names its line."""
+    try:
+        return _traces_from_columns(
+            starts, heads, np.frombuffer(times, np.int64), np.frombuffer(sizes, np.int64)
+        )
+    except _TraceRuleError as exc:
+        raise DatasetFormatError(str(exc), lines[exc.index]) from None
 
 
 def _parse_bool(value: str, line: int) -> bool:
@@ -420,12 +505,17 @@ def _fields_of_any_size():
         csv.field_size_limit(previous)
 
 
-def _check_csv_rows(path) -> None:
-    """Re-read a csv dataset row by row; raise at the first faulty row.
+def _check_csv_rows(path):
+    """Read a csv dataset with csv.reader; raise at the first faulty row.
 
-    The loader calls this only after parsing or building a trace failed,
-    to name the line.
+    Returns the columns of a file with no faulty row, as
+    :func:`_csv_columns` does. The loader calls this when the C reader
+    refuses a row, to read a number spelling only ``int()`` takes or to
+    name the faulty line, and when a trace breaks a rule, to name its line.
     """
+    starts: list[int] = []
+    heads: list[tuple[str, bool]] = []
+    times, sizes = array("q"), array("q")
     with open(path, "r", encoding="utf-8", newline="") as fh, _fields_of_any_size():
         reader = csv.reader(fh)
         next(reader)  # the header was checked already
@@ -442,7 +532,8 @@ def _check_csv_rows(path) -> None:
             tid, row_label, row_mon_s, ts_s, size_s = row
             row_monitored = _parse_bool(row_mon_s, lineno)
             ts = _parse_int(ts_s, "timestamp_us", lineno)
-            if _parse_int(size_s, "signed_size", lineno) == 0:
+            size = _parse_int(size_s, "signed_size", lineno)
+            if size == 0:
                 raise DatasetFormatError(f"zero-size packet in trace {tid!r}", lineno)
             misuse = _reserved_label_misuse(row_label, row_monitored)
             if misuse:
@@ -458,13 +549,18 @@ def _check_csv_rows(path) -> None:
                 seen.add(tid)
                 current_id, label, monitored = tid, row_label, row_monitored
                 start, low, high = lineno, ts, ts
+                starts.append(len(times))
+                heads.append((label, monitored))
             elif row_label != label or row_monitored != monitored:
                 raise DatasetFormatError(
                     f"trace {tid!r} changes label or monitored flag mid-group",
                     lineno,
                 )
             low, high = min(low, ts), max(high, ts)
+            times.append(ts)
+            sizes.append(size)
         _check_span(current_id, low, high, start)
+    return starts, heads, np.frombuffer(times, np.int64), np.frombuffer(sizes, np.int64)
 
 
 def _check_span(trace: str | None, low: int, high: int, line: int) -> None:
@@ -475,75 +571,95 @@ def _check_span(trace: str | None, low: int, high: int, line: int) -> None:
 
 
 # Rows parsed per np.loadtxt call. The C reader makes a Python str of
-# every field, so the parse holds memory in proportion to its rows: on the
-# 128k-row benchmark corpus a whole-file parse raised the load's peak RSS
-# by 50 MB (405 B per packet), 512-row blocks by 4 MB (33 B). The ids and
-# labels kept from a block are copies, because a str taken from a parsed
-# block keeps alive the allocator arena it shares with the block's other
-# fields: after a whole-file parse that left 43 MB resident, not 5 MB.
+# every text field, so the parse holds memory in proportion to its rows:
+# on the 128k-row benchmark corpus a whole-file parse raised the load's
+# peak RSS by 50 MB (405 B per packet), 512-row blocks by 4 MB (33 B). The
+# ids and labels kept from a block are copies, because a str taken from a
+# parsed block keeps alive the allocator arena it shares with the block's
+# other fields: after a whole-file parse that left 43 MB resident, not 5 MB.
 _CSV_BLOCK_ROWS = 512
+
+# The C reader converts the numbers itself. It refuses some spellings that
+# int() takes (1_0, non-ASCII digits); a file holding one loads through
+# the csv.reader pass instead. From numpy 1.23, an integer field the C
+# reader refuses may be parsed as a float and truncated, with only a
+# DeprecationWarning (numpy 2.4 refuses it outright); that warning is made
+# an error, so 1.5, 1e3 and 2**63 go to the csv.reader pass and are refused.
+_CSV_DTYPE = np.dtype([
+    (name, np.int64 if name in ("timestamp_us", "signed_size") else object)
+    for name in CSV_COLUMNS
+])
 
 # np.loadtxt warns when max_rows meets a blank line or the end of the
 # input; blank lines are skipped, as csv.reader's empty rows are.
 _LOADTXT_NO_DATA = (r"Input line \d+ contained no data", "loadtxt: input contained no data")
+_LOADTXT_VIA_FLOAT = r".*integer via a float"
 _TRUTH = {"true": True, "false": False}
 
 
 def _csv_columns(fh):
     """Parse the csv rows left in fh a block at a time with numpy's C reader.
 
-    Returns the first row index of each trace, each trace's (trace_id,
-    label, monitored), and the timestamp and size columns; None if a row
-    does not parse, a label or monitored flag changes inside a trace, or a
-    trace_id reappears.
+    Returns the index of each trace's first row, each trace's (label,
+    monitored), and the timestamp and size columns; None if the C reader
+    refuses a row, a flag is not true/false, a label or monitored flag
+    changes inside a trace, or a trace_id reappears.
     """
     starts: list[int] = []
-    heads: list[tuple[str, str, bool]] = []
+    heads: list[tuple[str, bool]] = []
+    tids: list[str] = []
     time_blocks, size_blocks = [], []
     previous = (None, None, False)  # trace_id, label, monitored of the last row
     n = 0
     with warnings.catch_warnings():
         for message in _LOADTXT_NO_DATA:
             warnings.filterwarnings("ignore", message, UserWarning)
+        warnings.filterwarnings("error", _LOADTXT_VIA_FLOAT, DeprecationWarning)
         while True:
             try:
                 block = np.loadtxt(
-                    fh, dtype=object, delimiter=",", quotechar='"', comments=None,
-                    ndmin=2, max_rows=_CSV_BLOCK_ROWS,
+                    fh, dtype=_CSV_DTYPE, delimiter=",", quotechar='"',
+                    comments=None, ndmin=1, max_rows=_CSV_BLOCK_ROWS,
                 )
-            except ValueError:  # e.g. the column count changes inside the block
+            except ValueError:  # a column count or a number it refuses
                 return None
             if not len(block):
                 break
-            if block.shape[1] != len(CSV_COLUMNS):
+            flags = _csv_flags(block["monitored"])
+            if flags is None:
                 return None
-            flag_text = block[:, 2].tolist()
-            truth = {f: _TRUTH.get(f.strip().lower()) for f in set(flag_text)}
-            if None in truth.values():
-                return None
-            try:
-                time_blocks.append(block[:, 3].astype(np.int64))
-                size_blocks.append(block[:, 4].astype(np.int64))
-            except (ValueError, OverflowError):
-                return None
-            tids, labels = block[:, 0], block[:, 1]
-            flags = np.fromiter(map(truth.__getitem__, flag_text), bool, len(block))
-            new = _changes(tids, previous[0])
+            # copies: a field view would keep the whole block, strings included
+            time_blocks.append(block["timestamp_us"].copy())
+            size_blocks.append(block["signed_size"].copy())
+            block_tids, labels = block["trace_id"], block["label"]
+            new = _changes(block_tids, previous[0])
             inner = _changes(labels, previous[1]) | _changes(flags, previous[2])
             if (inner & ~new).any():
                 return None  # label or monitored flag changes inside a trace
             for i in np.flatnonzero(new).tolist():
                 starts.append(n + i)
                 # copies, so no kept string pins the block's memory
-                tid, label = tids[i].encode().decode(), labels[i].encode().decode()
-                heads.append((tid, label, bool(flags[i])))
-            previous = (tids[-1], labels[-1], flags[-1])
+                tids.append(block_tids[i].encode().decode())
+                heads.append((labels[i].encode().decode(), bool(flags[i])))
+            previous = (block_tids[-1], labels[-1], flags[-1])
             n += len(block)
+    if len(set(tids)) != len(tids):
+        return None  # a trace_id reappears after another one
     if not n:
         return [], [], np.zeros(0, np.int64), np.zeros(0, np.int64)
-    if len({tid for tid, _, _ in heads}) != len(heads):
-        return None  # a trace_id reappears after another one
     return starts, heads, np.concatenate(time_blocks), np.concatenate(size_blocks)
+
+
+def _csv_flags(text: np.ndarray) -> np.ndarray | None:
+    """The monitored column as bools, one comparison per distinct spelling;
+    None if a spelling is not true or false."""
+    flags = text == "true"
+    for spelling in set(text[~flags & (text != "false")].tolist()):
+        truth = _TRUTH.get(spelling.strip().lower())
+        if truth is None:
+            return None
+        flags[text == spelling] = truth
+    return flags
 
 
 def _changes(column: np.ndarray, previous) -> np.ndarray:
@@ -570,20 +686,14 @@ def _read_csv(path) -> list[Trace]:
             raise DatasetFormatError(
                 f"header must be exactly {','.join(CSV_COLUMNS)}", 1
             )
-        parsed = _csv_columns(fh)
-    message = "malformed csv dataset"
-    if parsed is not None:
-        starts, heads, times, sizes = parsed
-        ends = starts[1:] + [len(times)]
-        try:
-            return [
-                _rebased(times[s:e], sizes[s:e], label, monitored)
-                for s, e, (_, label, monitored) in zip(starts, ends, heads)
-            ]
-        except ValueError as exc:
-            message = str(exc)
-    _check_csv_rows(path)  # names the faulty line
-    raise DatasetFormatError(message)
+        columns = _csv_columns(fh)
+    if columns is None:  # the C reader refused a row: read the file with csv.reader
+        columns = _check_csv_rows(path)
+    try:
+        return _traces_from_columns(*columns)
+    except _TraceRuleError as exc:
+        _check_csv_rows(path)  # names the faulty line
+        raise DatasetFormatError(str(exc)) from None
 
 
 def _flat_pairs(trace: Trace) -> tuple[int, ...]:

@@ -215,9 +215,12 @@ def _nearest(
     whole = m - m % groups  # the columns that fill every group equally
     indices = np.empty((len(queries), k), dtype=np.intp)
     distances = np.empty((len(queries), k))
+    # one screen buffer for every block: a screen freed per block raises
+    # glibc's mmap threshold, and later screens then stay resident
+    buffer = np.empty((min(len(queries), _BLOCK_ROWS), m))
     for lo in range(0, len(queries), _BLOCK_ROWS):
         block = queries[lo : lo + _BLOCK_ROWS]
-        screen = (-2.0 * block) @ exemplars.T
+        screen = np.matmul(-2.0 * block, exemplars.T, out=buffer[: len(block)])
         screen += sq_norms
         margin = _SCREEN_MARGIN * ((block**2).sum(axis=1) + sq_norms.max())
         minima = screen[:, :whole].reshape(len(block), -1, groups).min(axis=1)

@@ -72,11 +72,23 @@ def test_load_of_save_is_normalize(tmp_path_factory, traces, fmt):
 # the row check's message: quoted commas, doubled quotes, \r and \n in
 # labels, blank and whitespace-only lines, spellings int() and the flag
 # rule accept, values just outside int64, and rows of 4 or 6 fields.
+# Number spellings are also generated from digits, signs, _ . e x, ASCII
+# and Unicode whitespace and non-ASCII digits: where numpy's C reader
+# refuses one that int() takes, the csv.reader pass must load the file.
 csv_texts = st.lists(st.sampled_from(['a', 'é', ',', '"', '""', '\r', '\n', ' ', '{}']),
                     max_size=4).map("".join)
+number_chars = st.sampled_from(
+    "0123456789+-_.ex" " \t\x0b\x0c" "\x85\xa0\u1680\u2003\u2028\u3000" "\u0663\uff10"
+)
 csv_numbers = st.one_of(
     st.integers(-9, 9).filter(bool).map(str),
     st.sampled_from(["1_0", "+4", " 7", "\u0663", str(INT64_MAX), str(INT64_MIN)]),
+    st.text(number_chars, min_size=1, max_size=22),
+    st.sampled_from([
+        spelling
+        for v in (INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX)
+        for spelling in (f"{v:+}", f" {v}\t", f"{v:_}", f"{v}\u2003")
+    ]),
 )
 odd_numbers = st.sampled_from(["0", "x", "", str(INT64_MAX + 1), str(INT64_MIN - 1)])
 csv_flags = {True: st.sampled_from(["true", " true", "TRUE"]),

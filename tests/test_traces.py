@@ -2,7 +2,9 @@ import dataclasses
 import gc
 import json
 import tracemalloc
+import warnings
 
+import numpy as np
 import pytest
 
 from pathsplit import traces as traces_module
@@ -279,17 +281,26 @@ def test_dataset_holds_traces_only():
 def test_csv_failure_the_row_check_misses_is_still_a_format_error(
     tmp_path, monkeypatch
 ):
-    # should the row re-read ever accept what the fast path refused, the
+    # should the row re-read ever accept what the builder refused, the
     # loader still fails with DatasetFormatError, without a line
-    monkeypatch.setattr(traces_module, "_check_csv_rows", lambda path: None)
+    accepted = tmp_path / "ok.csv"
+    write_records(accepted, "csv", [{"label": "class-000", "monitored": True,
+                                     "packets": [[0, 100]]}])
+    check = traces_module._check_csv_rows
+    monkeypatch.setattr(traces_module, "_check_csv_rows", lambda path: check(accepted))
     f = tmp_path / "d.csv"
     write_records(f, "csv", [{"label": "class-000", "monitored": True,
                               "packets": [[0, 100], [5, 0]]}])
     with pytest.raises(DatasetFormatError, match="^zero-size packet") as exc:
         load_dataset(f, "csv")
     assert exc.value.line is None
-    f.write_text("trace_id,label,monitored,timestamp_us,signed_size\n0,a,maybe,0,1\n")
-    with pytest.raises(DatasetFormatError, match="malformed csv") as exc:
+    # the C reader refuses 1_0, so the row pass reads the file; columns it
+    # returned although the label breaks the rule still meet the builder
+    f.write_text("trace_id,label,monitored,timestamp_us,signed_size\n"
+                 f"0,{UNMONITORED_LABEL},true,1_0,1\n")
+    monkeypatch.setattr(traces_module, "_check_csv_rows", lambda path: (
+        [0], [(UNMONITORED_LABEL, True)], np.array([10]), np.array([1])))
+    with pytest.raises(DatasetFormatError, match="^monitored trace uses the reserved") as exc:
         load_dataset(f, "csv")
     assert exc.value.line is None
 
@@ -305,6 +316,21 @@ def test_csv_rejects_trace_id_that_reappears(tmp_path):
     )
     with pytest.raises(DatasetFormatError, match="line 5.*'0' reappears"):
         load_dataset(f, "csv")
+
+
+@pytest.mark.parametrize("spelling", ["1.5", "1e3", str(2**63)])
+def test_csv_refuses_float_spellings_with_warnings_ignored(tmp_path, spelling):
+    # numpy may parse an integer field as a float with only a warning;
+    # the loader must refuse it whatever the warning filters say
+    f = tmp_path / "d.csv"
+    f.write_text("trace_id,label,monitored,timestamp_us,signed_size\n"
+                 "0,class-000,true,0,100\n"
+                 f"0,class-000,true,5,{spelling}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(DatasetFormatError, match="line 3.*signed_size") as exc:
+            load_dataset(f, "csv")
+    assert exc.value.line == 3
 
 
 @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70])
@@ -340,6 +366,97 @@ def test_loaders_reject_timestamp_span_beyond_int64(tmp_path, fmt):
         load_dataset(f, fmt)
 
 
+# a trace that breaks one rule, and the text of its refusal
+RULE_BREAKS = {
+    "zero size": ({"label": "class-002", "monitored": True,
+                   "packets": [[0, 100], [5, 0]]}, "zero-size packet"),
+    "span": ({"label": "class-002", "monitored": True,
+              "packets": [[-(2**62), 100], [2**63 - 1, -5]]},
+             "span more than the int64 range"),
+    "label": ({"label": UNMONITORED_LABEL, "monitored": True,
+               "packets": [[0, 100], [5, -5]]}, "reserved label"),
+}
+
+
+def good_record(i):
+    return {"label": f"class-00{i}", "monitored": True, "packets": [[0, 100], [5, -5]]}
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_BREAKS))
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_loaders_name_the_line_of_the_one_trace_that_breaks_a_rule(tmp_path, fmt, rule):
+    record, text = RULE_BREAKS[rule]
+    f = tmp_path / f"d.{fmt}"
+    write_records(f, fmt, [good_record(0), good_record(1), record])
+    # csv names the row: a zero size's own, a span's or a label's first
+    line = 3 if fmt == "ndjson" else 7 if rule == "zero size" else 6
+    with pytest.raises(DatasetFormatError, match=f"^line {line}: .*{text}"):
+        load_dataset(f, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_loaders_refuse_the_first_broken_trace_by_its_first_rule(tmp_path, fmt):
+    # trace 2 has a zero size and misuses the reserved label; trace 3's
+    # timestamps span beyond int64
+    f = tmp_path / f"d.{fmt}"
+    write_records(f, fmt, [
+        good_record(0),
+        {"label": UNMONITORED_LABEL, "monitored": True, "packets": [[0, 0], [5, 100]]},
+        RULE_BREAKS["span"][0],
+    ])
+    line = 2 if fmt == "ndjson" else 4
+    with pytest.raises(DatasetFormatError, match=f"^line {line}: zero-size packet"):
+        load_dataset(f, fmt)
+
+
+def test_ndjson_refuses_a_broken_trace_before_a_later_malformed_line(tmp_path):
+    f = tmp_path / "d.ndjson"
+    write_ndjson(f, [good_record(0), RULE_BREAKS["zero size"][0]])
+    with f.open("a", encoding="utf-8") as fh:
+        fh.write("{oops\n")
+    with pytest.raises(DatasetFormatError, match="^line 2: zero-size packet"):
+        load_dataset(f, "ndjson")
+
+
+def test_builder_takes_a_trace_s_rules_in_order():
+    # span, then zero size, then the reserved label; trace 3 has a zero size
+    def build(middle_times, middle_sizes):
+        times = np.array([0, 5, *middle_times, 0, 1], dtype=np.int64)
+        sizes = np.array([1, 1, *middle_sizes, 0, 1], dtype=np.int64)
+        heads = [("class-000", True), (UNMONITORED_LABEL, True), ("class-002", True)]
+        return traces_module._traces_from_columns([0, 2, 4], heads, times, sizes)
+
+    for middle, text in [
+        (([-(2**62), 2**63 - 1], [0, 1]), "timestamps of trace 'unmonitored' span"),
+        (([0, 1], [0, 1]), "zero-size packet; sizes must be non-zero"),
+        (([0, 1], [1, 1]), "monitored trace uses the reserved label"),
+    ]:
+        with pytest.raises(traces_module._TraceRuleError, match=f"^{text}") as exc:
+            build(*middle)
+        assert exc.value.index == 1
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_loaders_sort_only_the_traces_out_of_order(tmp_path, fmt):
+    # timestamps drop where the second and third traces begin; only the
+    # second is out of order
+    records = [
+        {"label": "class-000", "monitored": True, "packets": [[100, 1], [200, 2]]},
+        {"label": "class-001", "monitored": True,
+         "packets": [[50, 3], [10, 4], [50, 5], [30, 6]]},
+        {"label": UNMONITORED_LABEL, "monitored": False, "packets": [[5, 7], [6, -8]]},
+    ]
+    f = tmp_path / f"d.{fmt}"
+    write_records(f, fmt, records)
+    loaded = load_dataset(f, fmt).traces
+    assert loaded == tuple(
+        normalize_trace(mk_trace(r["packets"], r["label"], r["monitored"]))
+        for r in records
+    )
+    for t in loaded:
+        assert not t.times_us.flags.writeable and not t.signed_size.flags.writeable
+
+
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
 def test_csv_checks_hold_across_parse_blocks(tmp_path, monkeypatch, block_rows):
     monkeypatch.setattr(traces_module, "_CSV_BLOCK_ROWS", block_rows)
@@ -364,10 +481,26 @@ def test_csv_checks_hold_across_parse_blocks(tmp_path, monkeypatch, block_rows):
 def test_csv_load_memory_stays_near_the_loaded_columns(tmp_path):
     # the loaded int64 columns take 16 B per packet; 512-row parse blocks
     # peak at about 35 B, a whole-file parse at about 355 B
+    assert csv_load_peak_per_packet(tmp_path, csv_reader_pass=False) < 64
+
+
+def test_csv_reader_pass_memory_stays_near_the_loaded_columns(tmp_path):
+    # a size spelled with an underscore, which only int() takes, sends the
+    # file through the csv.reader pass; its columns grow in place and peak
+    # at about 20 B per packet, Python int lists at about 88 B
+    assert csv_load_peak_per_packet(tmp_path, csv_reader_pass=True) < 64
+
+
+def csv_load_peak_per_packet(tmp_path, csv_reader_pass):
+    """Peak traced bytes per packet of loading the 127,857-packet corpus."""
     ds = generate_synthetic(9, 60, 40, seed=7)
     packets = sum(map(len, ds.traces))
     f = tmp_path / "d.csv"
     save_dataset(ds, f, "csv")
+    if csv_reader_pass:
+        head, size = f.read_text(encoding="utf-8").rstrip("\n").rsplit(",", 1)
+        digits = size.lstrip("-")
+        f.write_text(f"{head},{size[:-len(digits)]}0_{digits}\n", encoding="utf-8")
     gc.collect()
     tracemalloc.start()
     try:
@@ -377,4 +510,4 @@ def test_csv_load_memory_stays_near_the_loaded_columns(tmp_path):
         tracemalloc.stop()
     assert loaded.traces == ds.traces
     assert packets == 127_857
-    assert peak / packets < 64
+    return peak / packets
