@@ -37,12 +37,11 @@ from .wf_eval import (
     train_classifier,
 )
 from .netsim import (
-    OverheadResult,
     PathModel,
     Protocol,
     SenderModel,
     SweepPoint,
-    compare_validation_caching,
+    TransferResult,
     simulate_transfer,
     sweep_frequencies,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "Dataset",
     "DatasetFormatError",
     "EvalReport",
-    "OverheadResult",
     "PathModel",
     "Protocol",
     "SchedulerConfig",
@@ -61,9 +59,9 @@ __all__ = [
     "Strategy",
     "SweepPoint",
     "Trace",
+    "TransferResult",
     "UNMONITORED_LABEL",
     "classify",
-    "compare_validation_caching",
     "compute_metrics",
     "draw_connection_weights",
     "evaluate_defense",

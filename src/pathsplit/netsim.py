@@ -16,15 +16,14 @@ cyclically. Protocol behavior on a switch:
 * WireGuardRoaming keeps an independent persistent congestion state per
   path and never pauses.
 
-overhead_fraction compares against a baseline run with switching disabled
-on the same paths and seed.
+simulate_transfer runs one transfer, unswitched when switch_period_us is
+None; a sweep's baseline is that unswitched run, once per repetition.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -80,12 +79,10 @@ class SenderModel:
 
 
 @dataclass(frozen=True)
-class OverheadResult:
+class TransferResult:
     bytes_transferred: int
     elapsed_us: int
     throughput_bytes_per_s: float
-    baseline_throughput_bytes_per_s: float
-    overhead_fraction: float
 
 
 @dataclass(frozen=True)
@@ -103,8 +100,8 @@ def _run(
     switch_period_us: int | None,
     total_bytes: int,
     seed_stream: tuple[int, ...],
-) -> int:
-    """Simulate one transfer; returns elapsed microseconds."""
+) -> tuple[int, int]:
+    """Simulate one transfer; returns (elapsed microseconds, bytes acked)."""
     binomial = stream_rng(*seed_stream).binomial
     mss = sender.mss_bytes
     initial_cwnd = float(sender.initial_cwnd_packets * mss)
@@ -171,29 +168,7 @@ def _run(
             cwnd += delivered
         else:
             cwnd += mss * mss * n_packets / cwnd
-    return t
-
-
-@functools.lru_cache(maxsize=1024)
-def _baseline_us(
-    path: PathModel,
-    mss_bytes: int,
-    initial_cwnd_packets: int,
-    total_bytes: int,
-    seed_stream: tuple[int, ...],
-) -> int:
-    """Elapsed microseconds of the unswitched transfer.
-
-    Without switching a run uses only its first path and one congestion
-    state whatever the protocol, so these inputs are all it depends on; a
-    sweep computes it once per repetition instead of once per period.
-    """
-    sender = SenderModel(
-        protocol=Protocol.QUIC_MIGRATION,
-        initial_cwnd_packets=initial_cwnd_packets,
-        mss_bytes=mss_bytes,
-    )
-    return _run((path,), sender, None, total_bytes, seed_stream)
+    return t, acked
 
 
 def simulate_transfer(
@@ -202,32 +177,21 @@ def simulate_transfer(
     switch_period_us: int | None,
     total_bytes: int,
     seed: int = 0,
-) -> OverheadResult:
-    """Transfer total_bytes under the switching schedule and compare with
-    the unswitched baseline on the same paths and seed."""
+) -> TransferResult:
+    """Transfer total_bytes, switching paths every switch_period_us, or
+    never when it is None."""
     if not paths:
         raise ValueError("need at least one path")
     if switch_period_us is not None and switch_period_us < 1:
         raise ValueError(f"switch_period_us must be >= 1, got {switch_period_us}")
     if total_bytes < sender.mss_bytes:
         raise ValueError("total_bytes must be at least one MSS")
-
     stream = (seed, _STREAM_NETSIM)
-    baseline_elapsed = _baseline_us(
-        paths[0], sender.mss_bytes, sender.initial_cwnd_packets, total_bytes, stream
-    )
-    if switch_period_us is None:
-        elapsed = baseline_elapsed
-    else:
-        elapsed = _run(paths, sender, switch_period_us, total_bytes, stream)
-    throughput = total_bytes * 1_000_000 / elapsed
-    baseline = total_bytes * 1_000_000 / baseline_elapsed
-    return OverheadResult(
-        bytes_transferred=total_bytes,
+    elapsed, acked = _run(paths, sender, switch_period_us, total_bytes, stream)
+    return TransferResult(
+        bytes_transferred=acked,
         elapsed_us=elapsed,
-        throughput_bytes_per_s=throughput,
-        baseline_throughput_bytes_per_s=baseline,
-        overhead_fraction=1.0 - throughput / baseline,
+        throughput_bytes_per_s=acked * 1_000_000 / elapsed,
     )
 
 
@@ -239,55 +203,28 @@ def sweep_frequencies(
     repetitions: int = 10,
     seed: int = 0,
 ) -> list[SweepPoint]:
-    """Mean overhead per switching period over seeded repetitions."""
+    """Mean overhead per switching period over seeded repetitions; each
+    repetition's unswitched transfer is the baseline of every period."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    _baseline_us.cache_clear()  # a sweep's cost must not depend on earlier ones
+    if len(periods_us) == 0:
+        raise ValueError("need at least one switching period")
+    seeds = [_rep_seed(seed, rep) for rep in range(repetitions)]
+    base = [simulate_transfer(paths, sender, None, total_bytes, s) for s in seeds]
+    mean_base = float(np.mean([run.throughput_bytes_per_s for run in base]))
     points = []
     for period in periods_us:
-        throughputs = []
-        baselines = []
-        for rep in range(repetitions):
-            result = simulate_transfer(
-                paths, sender, period, total_bytes, seed=_rep_seed(seed, rep)
-            )
-            throughputs.append(result.throughput_bytes_per_s)
-            baselines.append(result.baseline_throughput_bytes_per_s)
+        runs = [simulate_transfer(paths, sender, period, total_bytes, s) for s in seeds]
+        throughputs = [run.throughput_bytes_per_s for run in runs]
         mean_thr = float(np.mean(throughputs))
-        mean_base = float(np.mean(baselines))
-        points.append(
-            SweepPoint(
-                period_us=int(period),
-                mean_throughput_bps=mean_thr,
-                baseline_bps=mean_base,
-                overhead_fraction=1.0 - mean_thr / mean_base,
-                stddev=float(np.std(throughputs)),
-            )
-        )
+        points.append(SweepPoint(
+            period_us=int(period),
+            mean_throughput_bps=mean_thr,
+            baseline_bps=mean_base,
+            overhead_fraction=1.0 - mean_thr / mean_base,
+            stddev=float(np.std(throughputs)),
+        ))
     return points
-
-
-def compare_validation_caching(
-    paths: Sequence[PathModel],
-    periods_us: Sequence[int],
-    total_bytes: int,
-    seed: int = 0,
-    sender: SenderModel | None = None,
-) -> list[tuple[int, OverheadResult, OverheadResult]]:
-    """Per period, the same transfer without and with cached validations."""
-    if sender is None:
-        sender = SenderModel(protocol=Protocol.QUIC_MIGRATION)
-    if sender.protocol is not Protocol.QUIC_MIGRATION:
-        raise ValueError("validation caching applies to the QUIC sender only")
-    uncached_sender = replace(sender, validation_cache=False)
-    cached_sender = replace(sender, validation_cache=True)
-    _baseline_us.cache_clear()
-    pairs = []
-    for period in periods_us:
-        uncached = simulate_transfer(paths, uncached_sender, period, total_bytes, seed)
-        cached = simulate_transfer(paths, cached_sender, period, total_bytes, seed)
-        pairs.append((int(period), uncached, cached))
-    return pairs
 
 
 def sweep_to_csv(points: Sequence[SweepPoint]) -> str:

@@ -187,12 +187,6 @@ class Trace:
             and np.array_equal(self.signed_size, other.signed_size)
         )
 
-    def __hash__(self) -> int:
-        return hash(
-            (self.label, self.monitored, self.times_us.tobytes(),
-             self.signed_size.tobytes())
-        )
-
     @property
     def total_bytes(self) -> int:
         return sum(map(abs, self.signed_size.tolist()))  # exact: no int64 wrap
@@ -216,10 +210,6 @@ class Dataset:
     @classmethod
     def from_traces(cls, traces: Iterable[Trace]) -> "Dataset":
         return cls(tuple(traces))
-
-    @property
-    def monitored_class_count(self) -> int:
-        return len({t.label for t in self.traces if t.monitored})
 
     def __len__(self) -> int:
         return len(self.traces)

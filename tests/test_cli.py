@@ -314,6 +314,12 @@ def _overhead_paths_over_cap(manifest):
     return manifest
 
 
+def _overhead_no_periods(manifest):
+    manifest = _overhead_seed_2_48(manifest)
+    manifest["config"].update(seed=0, periods_ms=[])
+    return manifest
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda manifest: [manifest], "not a JSON object"),
     (_drop_config, "config"),
@@ -328,6 +334,7 @@ def _overhead_paths_over_cap(manifest):
     (_split_window_2_63, "window_us must be at most 2**63 - 1"),
     (_split_paths_over_cap, "n_paths must be at most 1024, got 1025"),
     (_overhead_paths_over_cap, "paths must be in [1, 1024], got 1025"),
+    (_overhead_no_periods, "need at least one switching period"),
 ])
 def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, message):
     path = str(small_corpus) + ".manifest.json"

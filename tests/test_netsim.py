@@ -8,7 +8,6 @@ from pathsplit.netsim import (
     Protocol,
     SenderModel,
     SWEEP_CSV_COLUMNS,
-    compare_validation_caching,
     simulate_transfer,
     sweep_frequencies,
     sweep_to_csv,
@@ -28,10 +27,15 @@ QUIC_CACHED = SenderModel(protocol=Protocol.QUIC_MIGRATION, validation_cache=Tru
 WG = SenderModel(protocol=Protocol.WIREGUARD_ROAMING)
 
 
+def overhead(paths, sender, period, total_bytes, seed):
+    """One transfer's overhead against the unswitched run on the same seed."""
+    switched = simulate_transfer(paths, sender, period, total_bytes, seed)
+    unswitched = simulate_transfer(paths, sender, None, total_bytes, seed)
+    return 1.0 - switched.throughput_bytes_per_s / unswitched.throughput_bytes_per_s
+
+
 def test_no_switching_is_the_baseline():
-    result = simulate_transfer(paths(), QUIC, None, 5 * MB, seed=1)
-    assert result.overhead_fraction == 0.0
-    assert result.throughput_bytes_per_s == result.baseline_throughput_bytes_per_s
+    assert overhead(paths(), QUIC, None, 5 * MB, seed=1) == 0.0
 
 
 def test_bytes_conserved_exactly():
@@ -53,9 +57,10 @@ def test_rapid_quic_switching_pins_connection_in_slow_start():
     # switching every RTT/2: each cycle delivers one initial window and
     # pays one validation stall, so throughput ~ init_cwnd / (2 * RTT)
     result = simulate_transfer(paths(), QUIC, RTT // 2, 2 * MB, seed=1)
+    baseline = simulate_transfer(paths(), QUIC, None, 2 * MB, seed=1)
     closed_form = QUIC.initial_cwnd_packets * QUIC.mss_bytes / (2 * RTT / 1e6)
     assert result.throughput_bytes_per_s == pytest.approx(closed_form, rel=0.05)
-    assert result.throughput_bytes_per_s < 0.25 * result.baseline_throughput_bytes_per_s
+    assert result.throughput_bytes_per_s < 0.25 * baseline.throughput_bytes_per_s
 
 
 def test_wireguard_persistent_state_keeps_overhead_low():
@@ -63,22 +68,22 @@ def test_wireguard_persistent_state_keeps_overhead_low():
     # the extra slow starts, bounded well under the no-loss ceiling
     for period in (RTT, 2 * RTT, 100_000, 300_000):
         result = simulate_transfer(paths(), WG, period, 10 * MB, seed=3)
-        assert result.overhead_fraction < 0.05
+        assert overhead(paths(), WG, period, 10 * MB, seed=3) < 0.05
         assert result.throughput_bytes_per_s <= BW  # analytic no-loss bound
 
 
 def test_baseline_dominates_switched_runs():
     for sender in (QUIC, QUIC_CACHED, WG):
         for period in (30_000, 50_000, 100_000, 500_000):
-            result = simulate_transfer(paths(), sender, period, 5 * MB, seed=5)
-            assert result.overhead_fraction >= -0.01  # 1% numerical slack
+            frac = overhead(paths(), sender, period, 5 * MB, seed=5)
+            assert frac >= -0.01  # 1% numerical slack
 
 
 def test_quic_overhead_exceeds_wireguard_at_fast_periods():
     for period in (20_000, 50_000, 100_000):
-        q = simulate_transfer(paths(), QUIC, period, 5 * MB, seed=2)
-        w = simulate_transfer(paths(), WG, period, 5 * MB, seed=2)
-        assert q.overhead_fraction >= w.overhead_fraction
+        q = overhead(paths(), QUIC, period, 5 * MB, seed=2)
+        w = overhead(paths(), WG, period, 5 * MB, seed=2)
+        assert q >= w
 
 
 def test_sweep_throughput_non_increasing_as_period_shrinks():
@@ -90,35 +95,36 @@ def test_sweep_throughput_non_increasing_as_period_shrinks():
 
 
 def test_validation_caching_dominates_pointwise():
-    pairs = compare_validation_caching(paths(), [10_000, 50_000, 100_000, 500_000],
-                                       5 * MB, seed=6)
-    for _, uncached, cached in pairs:
-        assert cached.overhead_fraction <= uncached.overhead_fraction
+    for period in (10_000, 50_000, 100_000, 500_000):
+        uncached = overhead(paths(), QUIC, period, 5 * MB, seed=6)
+        cached = overhead(paths(), QUIC_CACHED, period, 5 * MB, seed=6)
+        assert cached <= uncached
 
 
 def test_caching_strictly_better_near_rtt_period():
     # rotation revisits a validated path every n switches; uncached pays
     # one RTT per switch, cached only for the first visit of each path
-    [(_, uncached, cached)] = compare_validation_caching(paths(), [RTT], 5 * MB, seed=6)
+    uncached = simulate_transfer(paths(), QUIC, RTT, 5 * MB, seed=6)
+    cached = simulate_transfer(paths(), QUIC_CACHED, RTT, 5 * MB, seed=6)
     assert uncached.elapsed_us - cached.elapsed_us >= RTT
 
 
 def test_caching_amortized_for_long_periods():
-    [(_, uncached, cached)] = compare_validation_caching(paths(), [2_000_000],
-                                                         10 * MB, seed=6)
-    assert abs(uncached.overhead_fraction - cached.overhead_fraction) < 0.05
+    uncached = overhead(paths(), QUIC, 2_000_000, 10 * MB, seed=6)
+    cached = overhead(paths(), QUIC_CACHED, 2_000_000, 10 * MB, seed=6)
+    assert abs(uncached - cached) < 0.05
 
 
 def test_single_path_is_degenerate():
     switched = simulate_transfer(paths(1), QUIC, 50_000, 2 * MB, seed=8)
     plain = simulate_transfer(paths(1), QUIC, None, 2 * MB, seed=8)
     assert switched.elapsed_us == plain.elapsed_us
-    assert switched.overhead_fraction == 0.0
+    assert overhead(paths(1), QUIC, 50_000, 2 * MB, seed=8) == 0.0
 
 
 def test_lossy_run_still_dominated_by_baseline():
     result = simulate_transfer(paths(loss=0.01), QUIC, 100_000, 3 * MB, seed=11)
-    assert result.overhead_fraction >= -0.01
+    assert overhead(paths(loss=0.01), QUIC, 100_000, 3 * MB, seed=11) >= -0.01
     assert result.elapsed_us > 0
 
 
@@ -142,7 +148,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         PathModel(rtt_us=RTT, bandwidth_bytes_per_s=BW, loss_rate=1.0)
     with pytest.raises(ValueError):
-        compare_validation_caching(paths(), [1000], MB, sender=WG)
+        sweep_frequencies(paths(), QUIC, [], MB)
 
 
 def test_sweep_runs_each_baseline_once(monkeypatch):
@@ -161,8 +167,8 @@ def test_sweep_runs_each_baseline_once(monkeypatch):
         sweep_frequencies(paths(loss=0.01), WG, periods, MB, repetitions=2, seed=1)
         assert len(unswitched) == 2  # one per repetition, not per (period, rep)
     unswitched.clear()
-    compare_validation_caching(paths(3), periods, MB, seed=6)
-    assert len(unswitched) == 1
+    sweep_frequencies(paths(loss=0.01), WG, periods, 3000, repetitions=1025, seed=1)
+    assert len(unswitched) == 1025
 
 
 path_models = st.builds(
@@ -177,12 +183,11 @@ path_models = st.builds(
        total_bytes=st.integers(1500, 200_000),
        seed=st.integers(0, 2**40))
 def test_unswitched_run_depends_only_on_first_path(models, total_bytes, seed):
-    # the baseline memo is keyed on paths[0], the MSS, the initial window,
-    # the size and the seed only: protocol, validation caching and the
-    # other paths must not change an unswitched run
+    # an unswitched run uses paths[0] and one congestion state only:
+    # protocol, validation caching and the other paths must not change it
     stream = (seed, netsim._STREAM_NETSIM)
     expected = netsim._run(models[:1], QUIC, None, total_bytes, stream)
     for sender in (QUIC, QUIC_CACHED, WG):
         assert netsim._run(models, sender, None, total_bytes, stream) == expected
         result = simulate_transfer(models, sender, None, total_bytes, seed)
-        assert result.elapsed_us == expected
+        assert (result.elapsed_us, result.bytes_transferred) == expected

@@ -144,7 +144,8 @@ def test_split_dataset_deterministic_and_inherits_labels():
     assert a.traces == b.traces
     parent_labels = {(t.label, t.monitored) for t in ds.traces}
     assert {(t.label, t.monitored) for t in a.traces} <= parent_labels
-    assert a.monitored_class_count == ds.monitored_class_count
+    assert (len({t.label for t in a.traces if t.monitored})
+            == len({t.label for t in ds.traces if t.monitored}))
 
 
 def test_split_dataset_unmonitored_labels_preserved():

@@ -159,7 +159,8 @@ def test_round_trip_generated_dataset(tmp_path, fmt):
     save_dataset(ds, f, fmt)
     back = load_dataset(f, fmt)
     assert back.traces == ds.traces
-    assert back.monitored_class_count == ds.monitored_class_count
+    assert (len({t.label for t in back.traces if t.monitored})
+            == len({t.label for t in ds.traces if t.monitored}))
     # a second save is byte-identical
     first = f.read_bytes()
     save_dataset(back, f, fmt)
@@ -209,7 +210,7 @@ def test_generator_counts_and_labels():
     assert len(monitored) == 600
     assert len(unmonitored) == 200
     assert len({t.label for t in monitored}) == 20
-    assert ds.monitored_class_count == 20
+    assert len({t.label for t in ds.traces if t.monitored}) == 20
     assert all(t.label == UNMONITORED_LABEL for t in unmonitored)
 
 
@@ -275,7 +276,7 @@ def test_dataset_holds_traces_only():
               mk_trace([(0, -80)], label=UNMONITORED_LABEL, monitored=False)]
     ds = Dataset.from_traces(traces)
     assert [f.name for f in dataclasses.fields(ds)] == ["traces"]
-    assert ds.monitored_class_count == 2
+    assert len({t.label for t in ds.traces if t.monitored}) == 2
 
 
 def test_csv_failure_the_row_check_misses_is_still_a_format_error(
