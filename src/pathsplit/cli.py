@@ -6,8 +6,13 @@ resolved configuration, seed, inputs/outputs, tool version, and wall-clock
 duration. `replay <manifest>` re-runs the recorded command; artifacts are
 deterministic, so a replay reproduces the artifact byte for byte.
 
-Exit codes: 0 success, 1 runtime error (I/O, malformed data), 2 usage
-error (bad flags or flag combinations).
+Flags become the same config dict a manifest records, and one check,
+_resolve, holds every rule a config keeps: a command and the replay of
+its manifest refuse the same values, before any load, run or write.
+
+Exit codes: 0 success, 1 runtime error (I/O, malformed data, a manifest
+config _resolve refuses), 2 usage error (bad flags or flag combinations,
+a flag value _resolve refuses).
 """
 
 from __future__ import annotations
@@ -17,18 +22,15 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 
 from . import __version__
-from .netsim import (
-    PathModel,
-    Protocol,
-    SenderModel,
-    sweep_frequencies,
-    sweep_to_csv,
-)
-from .scheduler import MAX_PATHS, BoundaryMode, SchedulerConfig, Strategy
+from .netsim import PathModel, Protocol, SenderModel, sweep_frequencies, sweep_to_csv
+from .scheduler import MAX_PATHS, SchedulerConfig, Strategy
 from .splitter import split_dataset
-from .traces import atomic_write_text, generate_synthetic, load_dataset, save_dataset
+from .traces import (
+    FORMATS, atomic_write_text, generate_synthetic, load_dataset, save_dataset,
+)
 from .wf_eval import evaluate_defense
 
 
@@ -42,8 +44,9 @@ def _infer_format(path: str, explicit: str | None) -> str:
     return "csv" if path.endswith(".csv") else "ndjson"
 
 
-def _parse_defense(spec: str, alpha: float, seed: int) -> SchedulerConfig | None:
-    """Defense mini-syntax: none | strategy:paths:frequency.
+def _parse_defense(spec: str, alpha: float, seed: int) -> dict | None:
+    """Defense mini-syntax: none | strategy:paths:frequency, as a
+    scheduler config dict.
 
     strategy is one of rr, ur, wr, context; paths is the path count; for
     rr/ur/wr the frequency is a packet batch size (e.g. 50) or a time
@@ -68,20 +71,21 @@ def _parse_defense(spec: str, alpha: float, seed: int) -> SchedulerConfig | None
         n_paths = int(paths_s)
     except ValueError:
         raise UsageError(f"path count {paths_s!r} is not an integer") from None
-    kwargs: dict = {"n_paths": n_paths, "strategy": strategy, "seed": seed,
-                    "dirichlet_alpha": alpha}
+    # the fields the spec leaves out keep SchedulerConfig's defaults
+    scheduler = {f.name: f.default for f in fields(SchedulerConfig)}
+    scheduler.update(n_paths=n_paths, strategy=name, boundary="packets",
+                     seed=seed, dirichlet_alpha=alpha)
     try:
         if strategy is Strategy.CONTEXT_DEPENDENT:
-            kwargs["handshake_packets"] = int(freq)
+            scheduler["handshake_packets"] = int(freq)
         elif freq.endswith("ms"):
-            kwargs["boundary"] = BoundaryMode.TIME_WINDOW
-            kwargs["window_us"] = int(freq[:-2]) * 1000
+            scheduler["boundary"] = "time"
+            scheduler["window_us"] = int(freq[:-2]) * 1000
         else:
-            kwargs["boundary"] = BoundaryMode.PACKET_COUNT
-            kwargs["batch_packets"] = int(freq)
+            scheduler["batch_packets"] = int(freq)
     except ValueError:
         raise UsageError(f"bad frequency {freq!r} in defense spec") from None
-    return _checked(SchedulerConfig, **kwargs)
+    return scheduler
 
 
 def _checked(build, *args, **kwargs):
@@ -91,25 +95,6 @@ def _checked(build, *args, **kwargs):
         return build(*args, **kwargs)
     except (ValueError, OverflowError) as exc:
         raise UsageError(str(exc)) from None
-
-
-def _check_seeds(subcommand: str, config: dict) -> None:
-    """Refuse every seed a runner passes on, its own and its scheduler's,
-    that would write the bytes of another seed: rand.stream_rng folds
-    seeds mod 2**63 and the overhead sweep's netsim._rep_seed mod 2**48."""
-    limit = 2**48 if subcommand == "overhead" else 2**63
-    seeds = {"seed": config.get("seed", 0)}
-    if isinstance(config.get("scheduler"), dict):
-        seeds["scheduler.seed"] = config["scheduler"].get("seed", 0)
-    for name, seed in seeds.items():
-        if type(seed) is not int or not 0 <= seed < limit:
-            raise ValueError(f"{name} must be an integer in [0, {limit}), got {seed!r}")
-
-
-def _require(ok: bool, message: str) -> None:
-    """Refuse a flag value up front that the run would refuse only late."""
-    if not ok:
-        raise UsageError(message)
 
 
 def _write_manifest(
@@ -136,11 +121,11 @@ def _write_manifest(
     )
 
 
-# --- runners take a fully resolved config dict so `replay` can re-invoke
-# them from a manifest verbatim
+# --- runners take a config dict that _resolve accepted, and what _resolve
+# built from it, so `replay` can re-invoke them from a manifest verbatim
 
 
-def run_generate(config: dict) -> None:
+def run_generate(config: dict, _: None) -> None:
     started = time.monotonic()
     dataset = generate_synthetic(
         config["classes"],
@@ -156,28 +141,24 @@ def run_generate(config: dict) -> None:
     print(f"wrote {config['output']} ({len(dataset)} traces)")
 
 
-def run_split(config: dict) -> None:
+def run_split(config: dict, scheduler: SchedulerConfig) -> None:
     started = time.monotonic()
     dataset = load_dataset(config["input"], config["input_format"])
-    scheduler_config = SchedulerConfig.from_dict(config["scheduler"])
-    out = split_dataset(dataset, scheduler_config)
+    out = split_dataset(dataset, scheduler)
     save_dataset(out, config["output"], config["format"])
     _write_manifest(
-        config["output"], "split", config, scheduler_config.seed,
+        config["output"], "split", config, scheduler.seed,
         [config["input"]], [config["output"]], started,
     )
     print(f"wrote {config['output']} ({len(out)} traces from {len(dataset)} parents)")
 
 
-def run_evaluate(config: dict) -> None:
+def run_evaluate(config: dict, scheduler: SchedulerConfig | None) -> None:
     started = time.monotonic()
     dataset = load_dataset(config["input"], config["input_format"])
-    scheduler_config = (
-        SchedulerConfig.from_dict(config["scheduler"]) if config["scheduler"] else None
-    )
     report = evaluate_defense(
         dataset,
-        scheduler_config,
+        scheduler,
         seed=config["seed"],
         k=config["k"],
         threshold_quantile=config["threshold_quantile"],
@@ -200,31 +181,9 @@ def run_evaluate(config: dict) -> None:
     )
 
 
-def _sweep_args(config: dict) -> dict:
-    """The sweep_frequencies arguments an overhead config describes."""
-    if not 1 <= config["paths"] <= MAX_PATHS:
-        raise ValueError(f"paths must be in [1, {MAX_PATHS}], got {config['paths']}")
-    path = PathModel(
-        rtt_us=config["rtt_ms"] * 1000,
-        bandwidth_bytes_per_s=int(config["bandwidth_mbps"] * 125_000),
-        loss_rate=config["loss"],
-    )
-    return {
-        "paths": [path] * config["paths"],
-        "sender": SenderModel(
-            protocol=Protocol(config["protocol"]),
-            validation_cache=config["validate_cache"],
-        ),
-        "periods_us": [p * 1000 for p in config["periods_ms"]],
-        "total_bytes": int(config["total_mb"] * 1_000_000),
-        "repetitions": config["reps"],
-        "seed": config["seed"],
-    }
-
-
-def run_overhead(config: dict) -> None:
+def run_overhead(config: dict, sweep: dict) -> None:
     started = time.monotonic()
-    points = sweep_frequencies(**_sweep_args(config))
+    points = sweep_frequencies(**sweep)
     atomic_write_text(config["output"], sweep_to_csv(points))
     _write_manifest(
         config["output"], "overhead", config, config["seed"], [],
@@ -257,6 +216,90 @@ _RUNNERS = {
 }
 
 
+def _finite_positive(value) -> bool:
+    return 0 < value < math.inf  # refuses NaN too
+
+
+# config key -> (the test its value passes, that test in words)
+_RULES = {
+    "classes": (lambda v: v >= 1, ">= 1"),
+    "per_class": (lambda v: v >= 1, ">= 1"),
+    "unmonitored": (lambda v: v >= 0, ">= 0"),
+    "format": (lambda v: v in FORMATS, f"one of {FORMATS}"),
+    "input_format": (lambda v: v in FORMATS, f"one of {FORMATS}"),
+    "k": (lambda v: v >= 1, ">= 1"),
+    "threshold_quantile": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "r": (_finite_positive, "finite and positive"),
+    "periods_ms": (lambda v: all(1 <= p < math.inf for p in v),
+                   "finite periods of at least 1 ms"),
+    "reps": (lambda v: v >= 1, ">= 1"),
+    "paths": (lambda v: 1 <= v <= MAX_PATHS, f"in [1, {MAX_PATHS}]"),
+    "rtt_ms": (_finite_positive, "finite and positive"),
+    "bandwidth_mbps": (_finite_positive, "finite and positive"),
+    "total_mb": (_finite_positive, "finite and positive"),
+    "validate_cache": (lambda v: type(v) is bool, "true or false"),
+}
+
+
+def _resolve(subcommand: str, config: dict) -> SchedulerConfig | dict | None:
+    """Check a config against every rule of its subcommand and build what
+    its runner takes: the SchedulerConfig of split and evaluate (None for
+    an undefended evaluate), the sweep_frequencies arguments of overhead.
+
+    A command's flags and a replayed manifest come here alike, before any
+    load, run or write. A refused value raises ValueError; a value of the
+    wrong type raises TypeError where a rule or a build meets it.
+    """
+    keys = _RUNNERS[subcommand][1]
+    missing = [key for key in keys if key not in config]
+    if missing:
+        raise ValueError(f"config for {subcommand} lacks {', '.join(missing)}")
+    # a seed a runner passes on, its own or its scheduler's, must not write
+    # the bytes of another seed: rand.stream_rng folds seeds mod 2**63 and
+    # the overhead sweep's netsim._rep_seed mod 2**48
+    limit = 2**48 if subcommand == "overhead" else 2**63
+    seeds = {"seed": config.get("seed", 0)}
+    if isinstance(config.get("scheduler"), dict):
+        seeds["scheduler.seed"] = config["scheduler"].get("seed", 0)
+    for name, seed in seeds.items():
+        if type(seed) is not int or not 0 <= seed < limit:
+            raise ValueError(f"{name} must be an integer in [0, {limit}), got {seed!r}")
+    for key in keys:
+        if key in _RULES and not _RULES[key][0](config[key]):
+            raise ValueError(f"{key} must be {_RULES[key][1]}, got {config[key]!r}")
+
+    if subcommand == "generate" or (
+        subcommand == "evaluate" and config["scheduler"] is None
+    ):
+        return None
+    if subcommand != "overhead":
+        return SchedulerConfig.from_dict(config["scheduler"])
+    if not config["periods_ms"]:
+        raise ValueError("need at least one switching period")
+    sender = SenderModel(
+        protocol=Protocol(config["protocol"]),
+        validation_cache=config["validate_cache"],
+    )
+    if sender.validation_cache and sender.protocol is not Protocol.QUIC_MIGRATION:
+        raise ValueError("validate_cache is only valid with protocol quic")
+    total_bytes = int(config["total_mb"] * 1_000_000)
+    if total_bytes < sender.mss_bytes:
+        raise ValueError(f"total_mb must be at least one MSS ({sender.mss_bytes} bytes)")
+    path = PathModel(
+        rtt_us=config["rtt_ms"] * 1000,
+        bandwidth_bytes_per_s=int(config["bandwidth_mbps"] * 125_000),
+        loss_rate=config["loss"],
+    )
+    return {
+        "paths": [path] * config["paths"],
+        "sender": sender,
+        "periods_us": [p * 1000 for p in config["periods_ms"]],
+        "total_bytes": total_bytes,
+        "repetitions": config["reps"],
+        "seed": config["seed"],
+    }
+
+
 def run_replay(manifest_path: str, output_override: str | None) -> None:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -277,15 +320,8 @@ def run_replay(manifest_path: str, output_override: str | None) -> None:
     config = dict(config)
     if output_override:
         config["output"] = output_override
-    runner, keys = _RUNNERS[subcommand]
-    missing = [key for key in keys if key not in config]
-    if missing:
-        raise ValueError(
-            f"manifest config for {subcommand} lacks {', '.join(missing)}"
-        )
-    _check_seeds(subcommand, config)
     try:
-        runner(config)
+        _RUNNERS[subcommand][0](config, _resolve(subcommand, config))
     except TypeError as exc:
         raise ValueError(
             f"manifest config for {subcommand} has a value of the wrong type: {exc}"
@@ -367,105 +403,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> None:
-    if args.subcommand != "replay":
-        # --seed is also the scheduler's seed in split and evaluate
-        _checked(_check_seeds, args.subcommand, {"seed": args.seed})
-    if args.subcommand == "generate":
-        _require(args.classes >= 1, f"--classes must be >= 1, got {args.classes}")
-        _require(args.per_class >= 1,
-                 f"--per-class must be >= 1, got {args.per_class}")
-        _require(args.unmonitored >= 0,
-                 f"--unmonitored must be >= 0, got {args.unmonitored}")
-        run_generate(
-            {
-                "classes": args.classes,
-                "per_class": args.per_class,
-                "unmonitored": args.unmonitored,
-                "seed": args.seed,
-                "output": args.output,
-                "format": _infer_format(args.output, args.format),
-            }
-        )
-    elif args.subcommand == "split":
+    if args.subcommand == "replay":
+        run_replay(args.manifest, args.output)
+        return
+    runner, keys = _RUNNERS[args.subcommand]
+    config = {k: v for k, v in vars(args).items() if k in keys}
+    if "format" in keys:
+        config["format"] = _infer_format(args.output, args.format)
+    if "input_format" in keys:
+        config["input_format"] = _infer_format(args.input, args.input_format)
+    if args.subcommand == "split":
         if args.boundary == "time" and args.window_ms is None:
             raise UsageError("--boundary time requires --window-ms")
         if args.boundary == "packets" and args.window_ms is not None:
             raise UsageError("--window-ms requires --boundary time")
-        scheduler = _checked(
-            SchedulerConfig,
-            n_paths=args.paths,
-            strategy=Strategy(args.strategy),
-            boundary=BoundaryMode(args.boundary),
-            batch_packets=args.batch_packets,
-            window_us=(100 if args.window_ms is None else args.window_ms) * 1000,
-            dirichlet_alpha=args.alpha,
-            handshake_packets=args.handshake,
-            vpn_path=args.vpn_path,
-            direct_path=args.direct_path,
-            rr_offset=args.rr_offset,
-            seed=args.seed,
-        )
-        run_split(
-            {
-                "input": args.input,
-                "input_format": _infer_format(args.input, args.input_format),
-                "output": args.output,
-                "format": _infer_format(args.output, args.format),
-                "scheduler": scheduler.to_dict(),
-            }
-        )
+        config["scheduler"] = {
+            "n_paths": args.paths,
+            "strategy": args.strategy,
+            "boundary": args.boundary,
+            "batch_packets": args.batch_packets,
+            "window_us": (100 if args.window_ms is None else args.window_ms) * 1000,
+            "dirichlet_alpha": args.alpha,
+            "handshake_packets": args.handshake,
+            "vpn_path": args.vpn_path,
+            "direct_path": args.direct_path,
+            "rr_offset": args.rr_offset,
+            "seed": args.seed,
+        }
     elif args.subcommand == "evaluate":
-        scheduler = _parse_defense(args.defense, args.alpha, args.seed)
-        _require(args.k >= 1, f"--k must be >= 1, got {args.k}")
-        _require(0 < args.threshold_quantile <= 1,
-                 f"--threshold-quantile must be in (0, 1], got {args.threshold_quantile}")
-        _require(0 < args.r < math.inf,
-                 f"--r must be finite and positive, got {args.r}")
-        run_evaluate(
-            {
-                "input": args.input,
-                "input_format": _infer_format(args.input, args.input_format),
-                "output": args.output,
-                "defense": args.defense,
-                "scheduler": scheduler.to_dict() if scheduler else None,
-                "seed": args.seed,
-                "k": args.k,
-                "threshold_quantile": args.threshold_quantile,
-                "r": args.r,
-            }
-        )
+        # the spec is echoed as given; the scheduler config is what runs
+        config["defense"] = args.defense
+        config["scheduler"] = _parse_defense(args.defense, args.alpha, args.seed)
     elif args.subcommand == "overhead":
-        if args.validate_cache and args.protocol != "quic":
-            raise UsageError("--validate-cache is only valid with --protocol quic")
         try:
-            periods = [int(p) for p in args.periods.split(",") if p]
+            config["periods_ms"] = [int(p) for p in args.periods.split(",") if p]
         except ValueError:
             raise UsageError(
                 f"--periods must be a comma list of integers, got {args.periods!r}"
             ) from None
-        _require(min(periods, default=0) >= 1,
-                 f"--periods must name periods of at least 1 ms, got {args.periods!r}")
-        _require(args.reps >= 1, f"--reps must be >= 1, got {args.reps}")
-        config = {
-            "protocol": args.protocol,
-            "periods_ms": periods,
-            "reps": args.reps,
-            "paths": args.paths,
-            "rtt_ms": args.rtt_ms,
-            "bandwidth_mbps": args.bandwidth_mbps,
-            "loss": args.loss,
-            "total_mb": args.total_mb,
-            "validate_cache": args.validate_cache,
-            "seed": args.seed,
-            "output": args.output,
-        }
-        sweep = _checked(_sweep_args, config)
-        mss = sweep["sender"].mss_bytes
-        _require(sweep["total_bytes"] >= mss,
-                 f"--total-mb must be at least one MSS ({mss} bytes)")
-        run_overhead(config)
-    else:
-        run_replay(args.manifest, args.output)
+    runner(config, _checked(_resolve, args.subcommand, config))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -476,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -378,7 +378,6 @@ def evaluate_defense(
     k: int = 3,
     threshold_quantile: float = 0.95,
     r: float = 20.0,
-    transform: Callable[[Trace], Trace] | None = None,
 ) -> EvalReport:
     """Run the full attack against an optionally defended dataset.
 
@@ -386,12 +385,7 @@ def evaluate_defense(
     on the same side (no leakage across train/test); each side is then
     split per the scheduler config (empty subtraces dropped), the
     classifier trains on the train subtraces, and test subtraces are
-    scored individually. Fully
-    deterministic under (dataset, config, seed).
-
-    `transform` composes another defense with splitting: it is applied to
-    every parent trace (train and test alike, the adaptive-adversary
-    setting) before the splitter runs.
+    scored individually. Fully deterministic under (dataset, config, seed).
     """
     train_idx, test_idx = split_indices(dataset, seed)
 
@@ -399,8 +393,6 @@ def evaluate_defense(
         rows: list[Trace] = []
         for i in indices:
             trace = dataset.traces[i]
-            if transform is not None:
-                trace = transform(trace)
             if scheduler_config is None:
                 rows.append(trace)
                 continue

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from pathsplit import __version__, cli
 from pathsplit.cli import main
 from pathsplit.traces import load_dataset
 
@@ -351,7 +352,9 @@ def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, mes
     assert not (tmp_path / "again.ndjson.manifest.json").exists()
 
 
-@pytest.mark.parametrize("argv", [
+# flag values the command refuses before any work; every one reaches the
+# config, so replaying that config must refuse it too
+BAD_FLAG_VALUES = [
     ["evaluate", "--defense", "none", "--k", "0"],
     ["evaluate", "--defense", "none", "--r", "0"],
     ["evaluate", "--defense", "none", "--threshold-quantile", "0"],
@@ -380,7 +383,14 @@ def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, mes
     ["generate", "--classes", "2", "--per-class", "0"],
     ["generate", "--classes", "2", "--per-class", "8", "--unmonitored", "-1"],
     ["generate", "--classes", "2", "--per-class", "8", "--seed", "-1"],
-], ids=lambda argv: " ".join(argv[-2:]))
+]
+
+
+def _bad_flag_id(argv):
+    return " ".join(argv[-2:])
+
+
+@pytest.mark.parametrize("argv", BAD_FLAG_VALUES, ids=_bad_flag_id)
 def test_bad_flag_value_exits_2_before_writing(small_corpus, tmp_path, capsys, argv):
     out = tmp_path / "out"
     if argv[0] in ("evaluate", "split"):
@@ -400,3 +410,67 @@ def test_k_above_exemplar_count_exits_1(small_corpus, tmp_path, capsys):
                 "--k", "1000", "-o", str(tmp_path / "r.json")])
     assert code == 1
     assert "exemplars" in capsys.readouterr().err
+
+
+def _flag_config(monkeypatch, argv):
+    """The config dict the flags of argv build, captured before it runs."""
+    configs = []
+
+    def capture(subcommand, config):
+        configs.append(config)
+        raise ValueError("captured")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_resolve", capture)
+        assert run(argv) == 2
+    return configs[0]
+
+
+def _assert_replay_refuses(tmp_path, capsys, subcommand, config, message):
+    manifest = tmp_path / "bad.manifest.json"
+    manifest.write_text(json.dumps(
+        {"subcommand": subcommand, "config": config, "tool_version": __version__}
+    ))
+    capsys.readouterr()
+    assert run(["replay", str(manifest)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
+def _flag_argv(argv, tmp_path):
+    # the input does not exist: a refusal names the value, not the file,
+    # only if it comes before the load
+    if argv[0] in ("evaluate", "split"):
+        argv = [*argv, "-i", str(tmp_path / "missing.ndjson")]
+    elif argv[0] == "overhead" and "--protocol" not in argv:
+        argv = [*argv, "--protocol", "quic"]
+    return [*argv, "-o", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("argv", BAD_FLAG_VALUES, ids=_bad_flag_id)
+def test_replay_refuses_the_config_of_a_bad_flag(tmp_path, capsys, monkeypatch, argv):
+    argv = _flag_argv(argv, tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    message = err.removeprefix("usage error: ").removesuffix("\n")
+    config = _flag_config(monkeypatch, argv)
+    _assert_replay_refuses(tmp_path, capsys, argv[0], config, message)
+
+
+@pytest.mark.parametrize("argv, change, message", [
+    (["overhead", "--periods", "10"], {"protocol": "wireguard", "validate_cache": True},
+     "validate_cache is only valid with protocol quic"),
+    (["overhead", "--periods", "10"], {"validate_cache": "yes"},
+     "validate_cache must be true or false, got 'yes'"),
+    (["split", "--strategy", "rr"], {"format": "xml"},
+     "format must be one of ('ndjson', 'csv'), got 'xml'"),
+    (["evaluate", "--defense", "none"], {"input_format": "xml"},
+     "input_format must be one of ('ndjson', 'csv'), got 'xml'"),
+], ids=["wireguard-validate_cache", "validate_cache-yes", "format-xml", "input_format-xml"])
+def test_replay_refuses_a_config_no_flag_builds(tmp_path, capsys, monkeypatch,
+                                                argv, change, message):
+    config = _flag_config(monkeypatch, _flag_argv(argv, tmp_path))
+    _assert_replay_refuses(tmp_path, capsys, argv[0], {**config, **change}, message)

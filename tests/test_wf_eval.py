@@ -487,23 +487,6 @@ def test_defended_f1_below_undefended():
     assert defended.f1 < nodef.f1
 
 
-def test_transform_hook_composes_with_splitting():
-    # a size-hiding transform stands in for a padding defense; stacking
-    # it with splitting must not help the attacker
-    def pad_sizes(trace):
-        return Trace(trace.times_us, np.sign(trace.signed_size) * 1500,
-                     trace.label, trace.monitored)
-
-    ds = generate_synthetic(10, 12, 60, seed=5)
-    config = SchedulerConfig(n_paths=3, strategy=Strategy.WEIGHTED_RANDOM,
-                             batch_packets=50, seed=3)
-    split_only = evaluate_defense(ds, config, seed=3)
-    pad_only = evaluate_defense(ds, None, seed=3, transform=pad_sizes)
-    combined = evaluate_defense(ds, config, seed=3, transform=pad_sizes)
-    assert combined.f1 <= split_only.f1
-    assert combined.f1 <= pad_only.f1
-
-
 def test_evaluate_defense_deterministic():
     ds = generate_synthetic(4, 6, 20, seed=8)
     config = SchedulerConfig(n_paths=2, strategy=Strategy.UNIFORM_RANDOM,
