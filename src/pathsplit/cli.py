@@ -46,7 +46,7 @@ def _infer_format(path: str, explicit: str | None) -> str:
 
 def _parse_defense(spec: str, alpha: float, seed: int) -> dict | None:
     """Defense mini-syntax: none | strategy:paths:frequency, as a
-    scheduler config dict.
+    scheduler config dict; a spec it cannot read raises ValueError.
 
     strategy is one of rr, ur, wr, context; paths is the path count; for
     rr/ur/wr the frequency is a packet batch size (e.g. 50) or a time
@@ -57,20 +57,20 @@ def _parse_defense(spec: str, alpha: float, seed: int) -> dict | None:
         return None
     parts = spec.split(":")
     if len(parts) != 3:
-        raise UsageError(
+        raise ValueError(
             f"defense spec {spec!r} must be 'none' or strategy:paths:frequency"
         )
     name, paths_s, freq = parts
     try:
         strategy = Strategy(name)
     except ValueError:
-        raise UsageError(
+        raise ValueError(
             f"unknown strategy {name!r}; expected rr, ur, wr, or context"
         ) from None
     try:
         n_paths = int(paths_s)
     except ValueError:
-        raise UsageError(f"path count {paths_s!r} is not an integer") from None
+        raise ValueError(f"path count {paths_s!r} is not an integer") from None
     # the fields the spec leaves out keep SchedulerConfig's defaults
     scheduler = {f.name: f.default for f in fields(SchedulerConfig)}
     scheduler.update(n_paths=n_paths, strategy=name, boundary="packets",
@@ -84,7 +84,7 @@ def _parse_defense(spec: str, alpha: float, seed: int) -> dict | None:
         else:
             scheduler["batch_packets"] = int(freq)
     except ValueError:
-        raise UsageError(f"bad frequency {freq!r} in defense spec") from None
+        raise ValueError(f"bad frequency {freq!r} in defense spec") from None
     return scheduler
 
 
@@ -205,8 +205,8 @@ _RUNNERS = {
     "split": (run_split, ("input", "input_format", "scheduler", "output", "format")),
     "evaluate": (
         run_evaluate,
-        ("input", "input_format", "scheduler", "seed", "k", "threshold_quantile",
-         "r", "output"),
+        ("input", "input_format", "scheduler", "defense", "seed", "k",
+         "threshold_quantile", "r", "output"),
     ),
     "overhead": (
         run_overhead,
@@ -219,6 +219,12 @@ _RUNNERS = {
 def _finite_positive(value) -> bool:
     return 0 < value < math.inf  # refuses NaN too
 
+
+# config keys, and scheduler fields, whose value is an int (not a bool)
+_INT_KEYS = ("classes", "per_class", "unmonitored", "k", "reps", "paths", "rtt_ms")
+_SCHEDULER_INT_FIELDS = tuple(
+    f.name for f in fields(SchedulerConfig) if type(f.default) is int
+)
 
 # config key -> (the test its value passes, that test in words)
 _RULES = {
@@ -248,7 +254,8 @@ def _resolve(subcommand: str, config: dict) -> SchedulerConfig | dict | None:
 
     A command's flags and a replayed manifest come here alike, before any
     load, run or write. A refused value raises ValueError; a value of the
-    wrong type raises TypeError where a rule or a build meets it.
+    wrong type raises TypeError: by name for a key the flags parse as an
+    integer, elsewhere where a rule or a build meets it.
     """
     keys = _RUNNERS[subcommand][1]
     missing = [key for key in keys if key not in config]
@@ -264,16 +271,30 @@ def _resolve(subcommand: str, config: dict) -> SchedulerConfig | dict | None:
     for name, seed in seeds.items():
         if type(seed) is not int or not 0 <= seed < limit:
             raise ValueError(f"{name} must be an integer in [0, {limit}), got {seed!r}")
+    integers = {key: config[key] for key in keys if key in _INT_KEYS}
+    if "periods_ms" in keys:
+        periods = config["periods_ms"]
+        if type(periods) is not list:
+            raise TypeError(f"periods_ms must be a list of integers, got {periods!r}")
+        integers.update((f"periods_ms[{i}]", p) for i, p in enumerate(periods))
+    if isinstance(config.get("scheduler"), dict):
+        integers.update(
+            (f"scheduler.{name}", config["scheduler"][name])
+            for name in _SCHEDULER_INT_FIELDS if name in config["scheduler"]
+        )
+    for name, value in integers.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an integer, got {value!r}")
     for key in keys:
         if key in _RULES and not _RULES[key][0](config[key]):
             raise ValueError(f"{key} must be {_RULES[key][1]}, got {config[key]!r}")
 
-    if subcommand == "generate" or (
-        subcommand == "evaluate" and config["scheduler"] is None
-    ):
+    if subcommand == "generate":
         return None
-    if subcommand != "overhead":
+    if subcommand == "split":
         return SchedulerConfig.from_dict(config["scheduler"])
+    if subcommand == "evaluate":
+        return _defended_scheduler(config["defense"], config["scheduler"])
     if not config["periods_ms"]:
         raise ValueError("need at least one switching period")
     sender = SenderModel(
@@ -298,6 +319,20 @@ def _resolve(subcommand: str, config: dict) -> SchedulerConfig | dict | None:
         "repetitions": config["reps"],
         "seed": config["seed"],
     }
+
+
+def _defended_scheduler(defense, scheduler: dict | None) -> SchedulerConfig | None:
+    """The SchedulerConfig of an evaluate config, None for no defense,
+    once its defense spec is known to read as that scheduler."""
+    if type(defense) is not str:
+        raise TypeError(f"defense must be a string, got {defense!r}")
+    built = None if scheduler is None else SchedulerConfig.from_dict(scheduler)
+    # the spec leaves the Dirichlet alpha and the seed to the scheduler
+    alpha, seed = (1.0, 0) if built is None else (built.dirichlet_alpha, built.seed)
+    parsed = _parse_defense(defense, alpha, seed)
+    if (None if parsed is None else SchedulerConfig.from_dict(parsed)) != built:
+        raise ValueError(f"defense {defense!r} does not describe the config's scheduler")
+    return built
 
 
 def run_replay(manifest_path: str, output_override: str | None) -> None:
@@ -432,8 +467,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         }
     elif args.subcommand == "evaluate":
         # the spec is echoed as given; the scheduler config is what runs
-        config["defense"] = args.defense
-        config["scheduler"] = _parse_defense(args.defense, args.alpha, args.seed)
+        config["scheduler"] = _checked(_parse_defense, args.defense, args.alpha, args.seed)
     elif args.subcommand == "overhead":
         try:
             config["periods_ms"] = [int(p) for p in args.periods.split(",") if p]

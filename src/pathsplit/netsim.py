@@ -18,12 +18,23 @@ cyclically. Protocol behavior on a switch:
 
 simulate_transfer runs one transfer, unswitched when switch_period_us is
 None; a sweep's baseline is that unswitched run, once per repetition.
+
+A flight's losses are Binomial(packets, loss rate), drawn the way
+numpy's Generator.binomial draws them, and so the same under seed as one
+binomial call per flight. Each transfer reads one stream of uniforms,
+1024 at a time. Where numpy draws by inversion (Kachitvichyanukul &
+Schmeiser, CACM 1988; p <= 0.5 and n*p <= 30) the flight applies numpy's
+rule to that stream: no loss when u <= exp(n * log1p(-p)), which most
+lossy flights meet; otherwise numpy's search for the count. Elsewhere the
+generator is put back at the first unused uniform and Generator.binomial
+draws.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import exp, log1p, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +43,10 @@ from .rand import stream_rng
 
 _STREAM_NETSIM = 401
 _SSTHRESH_INF = float("inf")
+# losses are drawn from blocks of this many uniforms
+_UNIFORM_BLOCK = 1024
+# numpy draws a binomial by inversion when p <= 0.5 and n*p <= this
+_INVERSION_MAX_NP = 30.0
 
 SWEEP_CSV_COLUMNS = (
     "period_us",
@@ -94,6 +109,23 @@ class SweepPoint:
     stddev: float
 
 
+def _inversion_tail(u: float, n: int, p: float, q: float, qn: float) -> int:
+    """Finish numpy's binomial inversion for a uniform u above qn (numpy's
+    q**n): the count, or 0 when the search passes numpy's bound, in which
+    case numpy restarts from the next uniform."""
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * sqrt(mean * q + 1)))
+    x = 0
+    px = qn
+    while u > px:
+        x += 1
+        if x > bound:
+            return 0
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
 def _run(
     paths: Sequence[PathModel],
     sender: SenderModel,
@@ -102,11 +134,20 @@ def _run(
     seed_stream: tuple[int, ...],
 ) -> tuple[int, int]:
     """Simulate one transfer; returns (elapsed microseconds, bytes acked)."""
-    binomial = stream_rng(*seed_stream).binomial
+    rng = stream_rng(*seed_stream)
+    bit_generator = rng.bit_generator
     mss = sender.mss_bytes
     initial_cwnd = float(sender.initial_cwnd_packets * mss)
     quic = sender.protocol is Protocol.QUIC_MIGRATION
     switching = switch_period_us is not None and len(paths) > 1
+    # per path: loss rate p, q = 1 - p, log q (numpy takes it as
+    # log1p(-p)), and the largest n*p numpy draws by inversion (none when
+    # p > 0.5)
+    loss_terms = [
+        (path.loss_rate, 1.0 - path.loss_rate, log1p(-path.loss_rate),
+         _INVERSION_MAX_NP if path.loss_rate <= 0.5 else -1.0)
+        for path in paths
+    ]
     # cwnd/ssthresh are the active path's congestion state; on a switch
     # QUIC resets them (one connection-wide state) and WireGuard parks them
     # in cwnds/ssthreshes and resumes the new path's own
@@ -117,7 +158,12 @@ def _run(
     validated = {0}
     rtt = paths[0].rtt_us
     bandwidth = paths[0].bandwidth_bytes_per_s
-    loss_rate = paths[0].loss_rate
+    loss_rate, q, log_q, max_np = loss_terms[0]
+    # the uniforms of the current block, how many are used, and the
+    # generator state before the block
+    uniforms: list[float] = []
+    used = 0
+    block_state = None
 
     t = 0
     acked = 0
@@ -135,7 +181,7 @@ def _run(
                 path = paths[path_index]
                 rtt = path.rtt_us
                 bandwidth = path.bandwidth_bytes_per_s
-                loss_rate = path.loss_rate
+                loss_rate, q, log_q, max_np = loss_terms[path_index]
                 if quic:
                     if not (sender.validation_cache and path_index in validated):
                         t += rtt  # path validation stall
@@ -152,7 +198,31 @@ def _run(
         if flight > total_bytes - acked:
             flight = total_bytes - acked
         n_packets = -(-flight // mss)
-        losses = int(binomial(n_packets, loss_rate)) if loss_rate else 0
+        if not loss_rate:
+            losses = 0
+        elif n_packets * loss_rate <= max_np:
+            losses = 0
+            qn = exp(n_packets * log_q)
+            while True:
+                if used == len(uniforms):
+                    block_state = bit_generator.state
+                    uniforms = rng.random(_UNIFORM_BLOCK).tolist()
+                    used = 0
+                u = uniforms[used]
+                used += 1
+                if u <= qn:
+                    break
+                losses = _inversion_tail(u, n_packets, loss_rate, q, qn)
+                if losses:
+                    break
+        else:
+            if used < len(uniforms):
+                # hand the generator back at the first unused uniform
+                bit_generator.state = block_state
+                rng.random(used)
+                uniforms = []
+                used = 0
+            losses = int(rng.binomial(n_packets, loss_rate))
         delivered = flight - losses * mss
         if delivered < 0:
             delivered = 0

@@ -255,8 +255,8 @@ def _string_path_count(manifest):
     manifest["config"] = {
         "input": manifest["config"]["output"], "input_format": "ndjson",
         "scheduler": {"n_paths": "3", "strategy": "wr", "batch_packets": 50},
-        "seed": 0, "k": 3, "threshold_quantile": 0.95, "r": 20.0,
-        "output": "unused.json",
+        "defense": "wr:3:50", "seed": 0, "k": 3, "threshold_quantile": 0.95,
+        "r": 20.0, "output": "unused.json",
     }
     return manifest
 
@@ -321,12 +321,32 @@ def _overhead_no_periods(manifest):
     return manifest
 
 
+def _evaluate(manifest, **changes):
+    """An evaluate manifest of wr:3:50 whose input is missing, its config
+    changed by changes: each check must come before the load."""
+    manifest["subcommand"] = "evaluate"
+    manifest["config"] = {
+        "input": "missing.ndjson", "input_format": "ndjson",
+        "scheduler": {"n_paths": 3, "strategy": "wr", "batch_packets": 50},
+        "defense": "wr:3:50", "seed": 0, "k": 3, "threshold_quantile": 0.95,
+        "r": 20.0, "output": "unused.json", **changes,
+    }
+    return manifest
+
+
+def _overhead(manifest, **changes):
+    manifest = _overhead_seed_2_48(manifest)
+    manifest["config"].update(seed=0, **changes)
+    return manifest
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda manifest: [manifest], "not a JSON object"),
     (_drop_config, "config"),
     (_drop_seed, "lacks seed"),
     (_old_version, "0.0.9"),
     (_null_classes, "generate has a value of the wrong type"),
+    (lambda m: m["config"].update(classes=6.0) or m, "classes must be an integer, got 6.0"),
     (_string_path_count, "evaluate has a value of the wrong type"),
     (_negative_seed, "seed must be an integer in [0, 9223372036854775808), got -1"),
     (_overhead_seed_2_48, "seed must be an integer in [0, 281474976710656)"),
@@ -336,6 +356,27 @@ def _overhead_no_periods(manifest):
     (_split_paths_over_cap, "n_paths must be at most 1024, got 1025"),
     (_overhead_paths_over_cap, "paths must be in [1, 1024], got 1025"),
     (_overhead_no_periods, "need at least one switching period"),
+    (_evaluate, "missing.ndjson"),  # the unchanged config fails only at the load
+    (lambda m: _evaluate(m, k=2.5), "k must be an integer, got 2.5"),
+    (lambda m: _evaluate(m, k=True), "k must be an integer, got True"),
+    (lambda m: _evaluate(m, scheduler={"n_paths": 3, "strategy": "wr",
+                                       "batch_packets": 50.0}),
+     "scheduler.batch_packets must be an integer, got 50.0"),
+    (lambda m: _overhead(m, reps=True), "reps must be an integer, got True"),
+    (lambda m: _overhead(m, periods_ms=[1.5]), "periods_ms[0] must be an integer, got 1.5"),
+    (lambda m: _overhead(m, periods_ms="10"), "periods_ms must be a list of integers"),
+    (lambda m: _overhead(m, rtt_ms=50.5), "rtt_ms must be an integer, got 50.5"),
+    (lambda m: _overhead(m, paths=2.0), "paths must be an integer, got 2.0"),
+    (lambda m: _evaluate(m, defense="none"),
+     "defense 'none' does not describe the config's scheduler"),
+    (lambda m: _evaluate(m, scheduler=None),
+     "defense 'wr:3:50' does not describe the config's scheduler"),
+    (lambda m: _evaluate(m, defense="wr:3:100ms"),
+     "defense 'wr:3:100ms' does not describe the config's scheduler"),
+    (lambda m: _evaluate(m, defense="wr:4:50"),
+     "defense 'wr:4:50' does not describe the config's scheduler"),
+    (lambda m: _evaluate(m, defense="wr:3"), "defense spec 'wr:3' must be"),
+    (lambda m: _evaluate(m, defense=None), "defense must be a string, got None"),
 ])
 def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, message):
     path = str(small_corpus) + ".manifest.json"
@@ -469,7 +510,13 @@ def test_replay_refuses_the_config_of_a_bad_flag(tmp_path, capsys, monkeypatch, 
      "format must be one of ('ndjson', 'csv'), got 'xml'"),
     (["evaluate", "--defense", "none"], {"input_format": "xml"},
      "input_format must be one of ('ndjson', 'csv'), got 'xml'"),
-], ids=["wireguard-validate_cache", "validate_cache-yes", "format-xml", "input_format-xml"])
+    (["evaluate", "--defense", "wr:3:50"], {"defense": "none"},
+     "defense 'none' does not describe the config's scheduler"),
+    (["evaluate", "--defense", "wr:3:50"], {"k": 2.5},
+     "manifest config for evaluate has a value of the wrong type: "
+     "k must be an integer, got 2.5"),
+], ids=["wireguard-validate_cache", "validate_cache-yes", "format-xml", "input_format-xml",
+        "wr-defense-none", "k-float"])
 def test_replay_refuses_a_config_no_flag_builds(tmp_path, capsys, monkeypatch,
                                                 argv, change, message):
     config = _flag_config(monkeypatch, _flag_argv(argv, tmp_path))

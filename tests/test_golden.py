@@ -51,6 +51,12 @@ FLOW = {
                                        "--loss", "0.01", "--periods", "10,50,100",
                                        "--reps", "2", "--total-mb", "2",
                                        "--seed", "3"],
+    # above 0.5 loss numpy does not invert, so every flight's draw is
+    # Generator.binomial's own
+    "overhead-quic-lossy-binomial.csv": ["overhead", "--protocol", "quic",
+                                         "--loss", "0.6", "--periods", "10,100",
+                                         "--reps", "2", "--total-mb", "1",
+                                         "--seed", "3"],
 }
 
 GOLDEN_SHA256 = {
@@ -76,6 +82,8 @@ GOLDEN_SHA256 = {
         "161837a74893359c3aa301a69fbd4d719b2ba8d86c69bc2136ddce1c4d12e44c",
     "overhead-quic-cached-lossy.csv":
         "c63d68317b24fdd21b5983783319c58de5df973b85292e03dd3b68614fa0a1b1",
+    "overhead-quic-lossy-binomial.csv":
+        "fdccef47a7440cd57323fe535cdbb3265ee501bf2274407dd294fc8753078ee7",
 }
 
 
