@@ -6,9 +6,10 @@ resolved configuration, seed, inputs/outputs, tool version, and wall-clock
 duration. `replay <manifest>` re-runs the recorded command; artifacts are
 deterministic, so a replay reproduces the artifact byte for byte.
 
-Flags become the same config dict a manifest records, and one check,
-_resolve, holds every rule a config keeps: a command and the replay of
-its manifest refuse the same values, before any load, run or write.
+Flags become the same config dict a manifest records, and _resolve
+builds the subcommand's typed config from it (GenerateConfig, SplitConfig,
+EvaluateConfig or OverheadConfig): a command and the replay of its
+manifest refuse the same values, before any load, run or write.
 
 Exit codes: 0 success, 1 runtime error (I/O, malformed data, a manifest
 config _resolve refuses), 2 usage error (bad flags or flag combinations,
@@ -22,9 +23,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 from . import __version__
+from .config import Config, require
 from .netsim import PathModel, Protocol, SenderModel, sweep_frequencies, sweep_to_csv
 from .scheduler import MAX_PATHS, SchedulerConfig, Strategy
 from .splitter import split_dataset
@@ -98,240 +100,236 @@ def _checked(build, *args, **kwargs):
 
 
 def _write_manifest(
-    output: str,
-    subcommand: str,
-    config: dict,
-    seed: int,
-    inputs: list[str],
-    outputs: list[str],
-    started: float,
+    subcommand: str, config: Config, seed: int, inputs: list[str], started: float,
 ) -> None:
     manifest = {
         "subcommand": subcommand,
-        "config": config,
+        "config": config.to_dict(),
         "seed": seed,
         "inputs": inputs,
-        "outputs": outputs,
+        "outputs": [config.output],
         "tool_version": __version__,
         "duration_s": round(time.monotonic() - started, 6),
     }
     atomic_write_text(
-        output + ".manifest.json",
+        config.output + ".manifest.json",
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
     )
 
 
-# --- runners take a config dict that _resolve accepted, and what _resolve
-# built from it, so `replay` can re-invoke them from a manifest verbatim
+# --- one typed config per subcommand: its fields are the keys of the
+# manifest's config, their annotations the type rules (see config.py) and
+# its __post_init__ the rules on each value. A seed a runner passes on, its
+# own or its scheduler's, must not write the bytes of another seed:
+# rand.stream_rng folds seeds mod 2**63, the overhead sweep's
+# netsim._rep_seed mod 2**48.
+_SEEDS = f"an integer in [0, {2**63})"
 
 
-def run_generate(config: dict, _: None) -> None:
+@dataclass(frozen=True)
+class GenerateConfig(Config):
+    classes: int
+    per_class: int
+    unmonitored: int
+    seed: int
+    output: str
+    format: str
+
+    def __post_init__(self):
+        super().__post_init__()
+        require(self, "seed", 0 <= self.seed < 2**63, _SEEDS)
+        require(self, "classes", self.classes >= 1, ">= 1")
+        require(self, "per_class", self.per_class >= 1, ">= 1")
+        require(self, "unmonitored", self.unmonitored >= 0, ">= 0")
+        require(self, "format", self.format in FORMATS, f"one of {FORMATS}")
+
+
+@dataclass(frozen=True)
+class SplitConfig(Config):
+    input: str
+    input_format: str
+    scheduler: SchedulerConfig
+    output: str
+    format: str
+
+    def __post_init__(self):
+        super().__post_init__()
+        require(self, "scheduler.seed", 0 <= self.scheduler.seed < 2**63, _SEEDS)
+        require(self, "input_format", self.input_format in FORMATS, f"one of {FORMATS}")
+        require(self, "format", self.format in FORMATS, f"one of {FORMATS}")
+
+
+@dataclass(frozen=True)
+class EvaluateConfig(Config):
+    input: str
+    input_format: str
+    scheduler: SchedulerConfig | None  # None for an undefended evaluate
+    defense: str
+    seed: int
+    k: int
+    threshold_quantile: float
+    r: float
+    output: str
+
+    def __post_init__(self):
+        super().__post_init__()
+        require(self, "seed", 0 <= self.seed < 2**63, _SEEDS)
+        if self.scheduler is not None:
+            require(self, "scheduler.seed", 0 <= self.scheduler.seed < 2**63, _SEEDS)
+        require(self, "input_format", self.input_format in FORMATS, f"one of {FORMATS}")
+        require(self, "k", self.k >= 1, ">= 1")
+        require(self, "threshold_quantile", 0 < self.threshold_quantile <= 1, "in (0, 1]")
+        require(self, "r", 0 < self.r < math.inf, "finite and positive")  # refuses NaN
+
+
+@dataclass(frozen=True)
+class OverheadConfig(Config):
+    protocol: Protocol
+    periods_ms: list[int]
+    reps: int
+    paths: int
+    rtt_ms: int
+    bandwidth_mbps: float
+    loss: float
+    total_mb: float
+    validate_cache: bool
+    seed: int
+    output: str
+
+    def __post_init__(self):
+        super().__post_init__()
+        require(self, "seed", 0 <= self.seed < 2**48, f"an integer in [0, {2**48})")
+        require(self, "periods_ms", all(p >= 1 for p in self.periods_ms),
+                "finite periods of at least 1 ms")
+        if not self.periods_ms:
+            raise ValueError("need at least one switching period")
+        require(self, "reps", self.reps >= 1, ">= 1")
+        require(self, "paths", 1 <= self.paths <= MAX_PATHS, f"in [1, {MAX_PATHS}]")
+        require(self, "rtt_ms", self.rtt_ms > 0, "finite and positive")
+        require(self, "bandwidth_mbps", 0 < self.bandwidth_mbps < math.inf,
+                "finite and positive")
+        require(self, "loss", 0 <= self.loss < 1, "in [0, 1)")
+        require(self, "total_mb", 0 < self.total_mb < math.inf, "finite and positive")
+        if self.bandwidth_bytes_per_s < 1:
+            raise ValueError(
+                "bandwidth_mbps must be at least one byte per second (0.000008 Mbit/s)"
+            )
+
+    @property
+    def bandwidth_bytes_per_s(self) -> int:
+        return int(self.bandwidth_mbps * 125_000)
+
+    @property
+    def total_bytes(self) -> int:
+        return int(self.total_mb * 1_000_000)
+
+
+# --- runners take a config that _resolve built, so `replay` can re-invoke
+# them from a manifest verbatim
+
+
+def run_generate(config: GenerateConfig) -> None:
     started = time.monotonic()
     dataset = generate_synthetic(
-        config["classes"],
-        config["per_class"],
-        config["unmonitored"],
-        seed=config["seed"],
+        config.classes, config.per_class, config.unmonitored, seed=config.seed
     )
-    save_dataset(dataset, config["output"], config["format"])
-    _write_manifest(
-        config["output"], "generate", config, config["seed"], [],
-        [config["output"]], started,
-    )
-    print(f"wrote {config['output']} ({len(dataset)} traces)")
+    save_dataset(dataset, config.output, config.format)
+    _write_manifest("generate", config, config.seed, [], started)
+    print(f"wrote {config.output} ({len(dataset)} traces)")
 
 
-def run_split(config: dict, scheduler: SchedulerConfig) -> None:
+def run_split(config: SplitConfig) -> None:
     started = time.monotonic()
-    dataset = load_dataset(config["input"], config["input_format"])
-    out = split_dataset(dataset, scheduler)
-    save_dataset(out, config["output"], config["format"])
-    _write_manifest(
-        config["output"], "split", config, scheduler.seed,
-        [config["input"]], [config["output"]], started,
-    )
-    print(f"wrote {config['output']} ({len(out)} traces from {len(dataset)} parents)")
+    dataset = load_dataset(config.input, config.input_format)
+    out = split_dataset(dataset, config.scheduler)
+    save_dataset(out, config.output, config.format)
+    _write_manifest("split", config, config.scheduler.seed, [config.input], started)
+    print(f"wrote {config.output} ({len(out)} traces from {len(dataset)} parents)")
 
 
-def run_evaluate(config: dict, scheduler: SchedulerConfig | None) -> None:
+def run_evaluate(config: EvaluateConfig) -> None:
     started = time.monotonic()
-    dataset = load_dataset(config["input"], config["input_format"])
+    dataset = load_dataset(config.input, config.input_format)
     report = evaluate_defense(
         dataset,
-        scheduler,
-        seed=config["seed"],
-        k=config["k"],
-        threshold_quantile=config["threshold_quantile"],
-        r=config["r"],
+        config.scheduler,
+        seed=config.seed,
+        k=config.k,
+        threshold_quantile=config.threshold_quantile,
+        r=config.r,
     )
     payload = report.to_json_dict()
     # echo the experiment parameters; the artifact location is not one
-    payload["config"] = {k: v for k, v in config.items() if k != "output"}
+    payload["config"] = {k: v for k, v in config.to_dict().items() if k != "output"}
     atomic_write_text(
-        config["output"], json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        config.output, json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
-    _write_manifest(
-        config["output"], "evaluate", config, config["seed"],
-        [config["input"]], [config["output"]], started,
-    )
+    _write_manifest("evaluate", config, config.seed, [config.input], started)
     print(
-        f"wrote {config['output']} "
+        f"wrote {config.output} "
         f"(f1={report.f1:.3f} r_precision={report.r_precision:.3f} "
         f"recall={report.recall:.3f})"
     )
 
 
-def run_overhead(config: dict, sweep: dict) -> None:
+def run_overhead(config: OverheadConfig) -> None:
     started = time.monotonic()
-    points = sweep_frequencies(**sweep)
-    atomic_write_text(config["output"], sweep_to_csv(points))
-    _write_manifest(
-        config["output"], "overhead", config, config["seed"], [],
-        [config["output"]], started,
+    path = PathModel(
+        rtt_us=config.rtt_ms * 1000,
+        bandwidth_bytes_per_s=config.bandwidth_bytes_per_s,
+        loss_rate=config.loss,
     )
+    points = sweep_frequencies(
+        paths=[path] * config.paths,
+        sender=SenderModel(config.protocol, validation_cache=config.validate_cache),
+        periods_us=[p * 1000 for p in config.periods_ms],
+        total_bytes=config.total_bytes,
+        repetitions=config.reps,
+        seed=config.seed,
+    )
+    atomic_write_text(config.output, sweep_to_csv(points))
+    _write_manifest("overhead", config, config.seed, [], started)
     worst = max(points, key=lambda p: p.overhead_fraction)
     print(
-        f"wrote {config['output']} ({len(points)} periods; "
+        f"wrote {config.output} ({len(points)} periods; "
         f"max overhead {worst.overhead_fraction:.1%} at {worst.period_us}us)"
     )
 
 
-# subcommand -> (runner, the config keys it reads)
+# subcommand -> (its config, its runner)
 _RUNNERS = {
-    "generate": (
-        run_generate,
-        ("classes", "per_class", "unmonitored", "seed", "output", "format"),
-    ),
-    "split": (run_split, ("input", "input_format", "scheduler", "output", "format")),
-    "evaluate": (
-        run_evaluate,
-        ("input", "input_format", "scheduler", "defense", "seed", "k",
-         "threshold_quantile", "r", "output"),
-    ),
-    "overhead": (
-        run_overhead,
-        ("protocol", "periods_ms", "reps", "paths", "rtt_ms", "bandwidth_mbps",
-         "loss", "total_mb", "validate_cache", "seed", "output"),
-    ),
+    "generate": (GenerateConfig, run_generate),
+    "split": (SplitConfig, run_split),
+    "evaluate": (EvaluateConfig, run_evaluate),
+    "overhead": (OverheadConfig, run_overhead),
 }
 
 
-def _finite_positive(value) -> bool:
-    return 0 < value < math.inf  # refuses NaN too
-
-
-# config keys, and scheduler fields, whose value is an int (not a bool)
-_INT_KEYS = ("classes", "per_class", "unmonitored", "k", "reps", "paths", "rtt_ms")
-_SCHEDULER_INT_FIELDS = tuple(
-    f.name for f in fields(SchedulerConfig) if type(f.default) is int
-)
-
-# config key -> (the test its value passes, that test in words)
-_RULES = {
-    "classes": (lambda v: v >= 1, ">= 1"),
-    "per_class": (lambda v: v >= 1, ">= 1"),
-    "unmonitored": (lambda v: v >= 0, ">= 0"),
-    "format": (lambda v: v in FORMATS, f"one of {FORMATS}"),
-    "input_format": (lambda v: v in FORMATS, f"one of {FORMATS}"),
-    "k": (lambda v: v >= 1, ">= 1"),
-    "threshold_quantile": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "r": (_finite_positive, "finite and positive"),
-    "periods_ms": (lambda v: all(1 <= p < math.inf for p in v),
-                   "finite periods of at least 1 ms"),
-    "reps": (lambda v: v >= 1, ">= 1"),
-    "paths": (lambda v: 1 <= v <= MAX_PATHS, f"in [1, {MAX_PATHS}]"),
-    "rtt_ms": (_finite_positive, "finite and positive"),
-    "bandwidth_mbps": (_finite_positive, "finite and positive"),
-    "total_mb": (_finite_positive, "finite and positive"),
-    "validate_cache": (lambda v: type(v) is bool, "true or false"),
-}
-
-
-def _resolve(subcommand: str, config: dict) -> SchedulerConfig | dict | None:
-    """Check a config against every rule of its subcommand and build what
-    its runner takes: the SchedulerConfig of split and evaluate (None for
-    an undefended evaluate), the sweep_frequencies arguments of overhead.
+def _resolve(subcommand: str, config: dict) -> Config:
+    """The subcommand's typed config of a config dict, once the rules that
+    span its fields hold too.
 
     A command's flags and a replayed manifest come here alike, before any
     load, run or write. A refused value raises ValueError; a value of the
-    wrong type raises TypeError: by name for a key the flags parse as an
-    integer, elsewhere where a rule or a build meets it.
+    wrong type raises TypeError.
     """
-    keys = _RUNNERS[subcommand][1]
-    missing = [key for key in keys if key not in config]
-    if missing:
-        raise ValueError(f"config for {subcommand} lacks {', '.join(missing)}")
-    # a seed a runner passes on, its own or its scheduler's, must not write
-    # the bytes of another seed: rand.stream_rng folds seeds mod 2**63 and
-    # the overhead sweep's netsim._rep_seed mod 2**48
-    limit = 2**48 if subcommand == "overhead" else 2**63
-    seeds = {"seed": config.get("seed", 0)}
-    if isinstance(config.get("scheduler"), dict):
-        seeds["scheduler.seed"] = config["scheduler"].get("seed", 0)
-    for name, seed in seeds.items():
-        if type(seed) is not int or not 0 <= seed < limit:
-            raise ValueError(f"{name} must be an integer in [0, {limit}), got {seed!r}")
-    integers = {key: config[key] for key in keys if key in _INT_KEYS}
-    if "periods_ms" in keys:
-        periods = config["periods_ms"]
-        if type(periods) is not list:
-            raise TypeError(f"periods_ms must be a list of integers, got {periods!r}")
-        integers.update((f"periods_ms[{i}]", p) for i, p in enumerate(periods))
-    if isinstance(config.get("scheduler"), dict):
-        integers.update(
-            (f"scheduler.{name}", config["scheduler"][name])
-            for name in _SCHEDULER_INT_FIELDS if name in config["scheduler"]
-        )
-    for name, value in integers.items():
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-    for key in keys:
-        if key in _RULES and not _RULES[key][0](config[key]):
-            raise ValueError(f"{key} must be {_RULES[key][1]}, got {config[key]!r}")
-
-    if subcommand == "generate":
-        return None
-    if subcommand == "split":
-        return SchedulerConfig.from_dict(config["scheduler"])
+    built = _RUNNERS[subcommand][0].from_dict(config)
     if subcommand == "evaluate":
-        return _defended_scheduler(config["defense"], config["scheduler"])
-    if not config["periods_ms"]:
-        raise ValueError("need at least one switching period")
-    sender = SenderModel(
-        protocol=Protocol(config["protocol"]),
-        validation_cache=config["validate_cache"],
-    )
-    if sender.validation_cache and sender.protocol is not Protocol.QUIC_MIGRATION:
-        raise ValueError("validate_cache is only valid with protocol quic")
-    total_bytes = int(config["total_mb"] * 1_000_000)
-    if total_bytes < sender.mss_bytes:
-        raise ValueError(f"total_mb must be at least one MSS ({sender.mss_bytes} bytes)")
-    path = PathModel(
-        rtt_us=config["rtt_ms"] * 1000,
-        bandwidth_bytes_per_s=int(config["bandwidth_mbps"] * 125_000),
-        loss_rate=config["loss"],
-    )
-    return {
-        "paths": [path] * config["paths"],
-        "sender": sender,
-        "periods_us": [p * 1000 for p in config["periods_ms"]],
-        "total_bytes": total_bytes,
-        "repetitions": config["reps"],
-        "seed": config["seed"],
-    }
-
-
-def _defended_scheduler(defense, scheduler: dict | None) -> SchedulerConfig | None:
-    """The SchedulerConfig of an evaluate config, None for no defense,
-    once its defense spec is known to read as that scheduler."""
-    if type(defense) is not str:
-        raise TypeError(f"defense must be a string, got {defense!r}")
-    built = None if scheduler is None else SchedulerConfig.from_dict(scheduler)
-    # the spec leaves the Dirichlet alpha and the seed to the scheduler
-    alpha, seed = (1.0, 0) if built is None else (built.dirichlet_alpha, built.seed)
-    parsed = _parse_defense(defense, alpha, seed)
-    if (None if parsed is None else SchedulerConfig.from_dict(parsed)) != built:
-        raise ValueError(f"defense {defense!r} does not describe the config's scheduler")
+        # the spec leaves the Dirichlet alpha and the seed to the scheduler
+        scheduler = built.scheduler
+        alpha, seed = (1.0, 0) if scheduler is None else (
+            scheduler.dirichlet_alpha, scheduler.seed)
+        parsed = _parse_defense(built.defense, alpha, seed)
+        if (None if parsed is None else SchedulerConfig.from_dict(parsed)) != scheduler:
+            raise ValueError(
+                f"defense {built.defense!r} does not describe the config's scheduler"
+            )
+    elif subcommand == "overhead":
+        if built.validate_cache and built.protocol is not Protocol.QUIC_MIGRATION:
+            raise ValueError("validate_cache is only valid with protocol quic")
+        mss = SenderModel.mss_bytes
+        if built.total_bytes < mss:
+            raise ValueError(f"total_mb must be at least one MSS ({mss} bytes)")
     return built
 
 
@@ -356,7 +354,7 @@ def run_replay(manifest_path: str, output_override: str | None) -> None:
     if output_override:
         config["output"] = output_override
     try:
-        _RUNNERS[subcommand][0](config, _resolve(subcommand, config))
+        _RUNNERS[subcommand][1](_resolve(subcommand, config))
     except TypeError as exc:
         raise ValueError(
             f"manifest config for {subcommand} has a value of the wrong type: {exc}"
@@ -441,7 +439,8 @@ def _dispatch(args: argparse.Namespace) -> None:
     if args.subcommand == "replay":
         run_replay(args.manifest, args.output)
         return
-    runner, keys = _RUNNERS[args.subcommand]
+    config_class, runner = _RUNNERS[args.subcommand]
+    keys = {f.name for f in fields(config_class)}
     config = {k: v for k, v in vars(args).items() if k in keys}
     if "format" in keys:
         config["format"] = _infer_format(args.output, args.format)
@@ -475,7 +474,7 @@ def _dispatch(args: argparse.Namespace) -> None:
             raise UsageError(
                 f"--periods must be a comma list of integers, got {args.periods!r}"
             ) from None
-    runner(config, _checked(_resolve, args.subcommand, config))
+    runner(_checked(_resolve, args.subcommand, config))
 
 
 def main(argv: list[str] | None = None) -> int:

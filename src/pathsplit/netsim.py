@@ -39,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import Config, require
 from .rand import stream_rng
 
 _STREAM_NETSIM = 401
@@ -63,34 +64,29 @@ class Protocol(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class PathModel:
+class PathModel(Config):
     rtt_us: int = 50_000
     bandwidth_bytes_per_s: int = 1_250_000  # 10 Mbit/s
     loss_rate: float = 0.0
 
     def __post_init__(self):
-        if self.rtt_us < 1:
-            raise ValueError(f"rtt_us must be >= 1, got {self.rtt_us}")
-        if self.bandwidth_bytes_per_s < 1:
-            raise ValueError(
-                f"bandwidth_bytes_per_s must be >= 1, got {self.bandwidth_bytes_per_s}"
-            )
-        if not (0.0 <= self.loss_rate < 1.0):
-            raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
+        super().__post_init__()
+        require(self, "rtt_us", self.rtt_us >= 1, ">= 1")
+        require(self, "bandwidth_bytes_per_s", self.bandwidth_bytes_per_s >= 1, ">= 1")
+        require(self, "loss_rate", 0 <= self.loss_rate < 1, "in [0, 1)")
 
 
 @dataclass(frozen=True)
-class SenderModel:
+class SenderModel(Config):
     protocol: Protocol
     initial_cwnd_packets: int = 10
     mss_bytes: int = 1500
     validation_cache: bool = False
 
     def __post_init__(self):
-        if self.initial_cwnd_packets < 1:
-            raise ValueError("initial_cwnd_packets must be >= 1")
-        if self.mss_bytes < 1:
-            raise ValueError("mss_bytes must be >= 1")
+        super().__post_init__()
+        require(self, "initial_cwnd_packets", self.initial_cwnd_packets >= 1, ">= 1")
+        require(self, "mss_bytes", self.mss_bytes >= 1, ">= 1")
 
 
 @dataclass(frozen=True)

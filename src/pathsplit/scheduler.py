@@ -24,11 +24,11 @@ sequence, the config, and the (seed, trace index) stream.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config, require
 from .rand import stream_rng
 from .traces import INT64_MAX, Trace
 
@@ -54,7 +54,7 @@ class BoundaryMode(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class SchedulerConfig:
+class SchedulerConfig(Config):
     n_paths: int = 3
     strategy: Strategy = Strategy.WEIGHTED_RANDOM
     boundary: BoundaryMode = BoundaryMode.PACKET_COUNT
@@ -68,26 +68,17 @@ class SchedulerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_paths < 2:
-            raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
-        if self.n_paths > MAX_PATHS:
-            raise ValueError(f"n_paths must be at most {MAX_PATHS}, got {self.n_paths}")
-        if self.batch_packets < 1:
-            raise ValueError(f"batch_packets must be >= 1, got {self.batch_packets}")
-        if self.window_us < 1:
-            raise ValueError(f"window_us must be >= 1, got {self.window_us}")
+        super().__post_init__()
+        require(self, "n_paths", self.n_paths >= 2, ">= 2")
+        require(self, "n_paths", self.n_paths <= MAX_PATHS, f"at most {MAX_PATHS}")
         for name in ("batch_packets", "window_us"):
             value = getattr(self, name)
-            if value > INT64_MAX:  # schedule computes with it in int64
-                raise ValueError(f"{name} must be at most 2**63 - 1, got {value}")
-        if not 0 < self.dirichlet_alpha < np.inf:  # refuses NaN too
-            raise ValueError(
-                f"dirichlet_alpha must be finite and > 0, got {self.dirichlet_alpha}"
-            )
-        if self.handshake_packets < 1:
-            raise ValueError(
-                f"handshake_packets must be >= 1, got {self.handshake_packets}"
-            )
+            require(self, name, value >= 1, ">= 1")
+            # schedule computes with it in int64
+            require(self, name, value <= INT64_MAX, "at most 2**63 - 1")
+        require(self, "dirichlet_alpha", 0 < self.dirichlet_alpha < np.inf,
+                "finite and > 0")  # refuses NaN too
+        require(self, "handshake_packets", self.handshake_packets >= 1, ">= 1")
         if self.strategy is Strategy.CONTEXT_DEPENDENT:
             if self.vpn_path == self.direct_path:
                 raise ValueError("vpn_path and direct_path must differ")
@@ -97,23 +88,6 @@ class SchedulerConfig:
                 raise ValueError(f"direct_path {self.direct_path} out of range")
         if not (0 <= self.rr_offset < self.n_paths):
             raise ValueError(f"rr_offset {self.rr_offset} out of range")
-
-    def to_dict(self) -> dict[str, Any]:
-        """The fields by name, enums as their values."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v.value if isinstance(v, enum.Enum) else v for k, v in values.items()}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SchedulerConfig":
-        defaults = {f.name: f.default for f in fields(cls)}
-        unknown = sorted(set(data) - set(defaults))
-        if unknown:
-            raise ValueError(f"unknown scheduler config field(s): {', '.join(unknown)}")
-        return cls(**{
-            name: type(defaults[name])(value)
-            if isinstance(defaults[name], enum.Enum) else value
-            for name, value in data.items()
-        })
 
 
 def draw_connection_weights(

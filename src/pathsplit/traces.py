@@ -126,8 +126,9 @@ class Trace:
 
     Packets are expected to be sorted by timestamp; constructors in this
     module (loaders, generator, :func:`normalize_trace`) guarantee it.
-    Construction checks that timestamps are non-negative, sizes non-zero,
-    and that the label is "unmonitored" exactly when monitored is false.
+    Construction checks that the label is a string and monitored a bool,
+    that timestamps are non-negative, sizes non-zero, and that the label is
+    "unmonitored" exactly when monitored is false.
     """
 
     times_us: np.ndarray
@@ -136,6 +137,10 @@ class Trace:
     monitored: bool
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise TypeError(f"label must be a string, got {self.label!r}")
+        if not isinstance(self.monitored, bool):
+            raise TypeError(f"monitored must be a bool, got {self.monitored!r}")
         times = int64_column(self.times_us)
         sizes = int64_column(self.signed_size)
         if len(times) != len(sizes):

@@ -377,6 +377,18 @@ def _overhead(manifest, **changes):
      "defense 'wr:4:50' does not describe the config's scheduler"),
     (lambda m: _evaluate(m, defense="wr:3"), "defense spec 'wr:3' must be"),
     (lambda m: _evaluate(m, defense=None), "defense must be a string, got None"),
+    (lambda m: _overhead(m, total_mb=True, bandwidth_mbps=True),
+     "bandwidth_mbps must be a number, got True"),
+    (lambda m: _overhead(m, loss=False), "loss must be a number, got False"),
+    (lambda m: _overhead(m, bandwidth_mbps=0.000001),
+     "bandwidth_mbps must be at least one byte per second"),
+    (lambda m: _evaluate(m, r=True), "r must be a number, got True"),
+    (lambda m: _evaluate(m, threshold_quantile=True),
+     "threshold_quantile must be a number, got True"),
+    (lambda m: _evaluate(m, scheduler={"n_paths": 3, "strategy": "wr", "batch_packets": 50,
+                                       "dirichlet_alpha": True}),
+     "scheduler.dirichlet_alpha must be a number, got True"),
+    (lambda m: _evaluate(m, note="x"), "unknown evaluate config field(s): note"),
 ])
 def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, message):
     path = str(small_corpus) + ".manifest.json"
@@ -410,6 +422,7 @@ BAD_FLAG_VALUES = [
     ["overhead", "--periods", "10", "--rtt-ms", "0"],
     ["overhead", "--periods", "10", "--bandwidth-mbps", "0"],
     ["overhead", "--periods", "10", "--bandwidth-mbps", "inf"],
+    ["overhead", "--periods", "10", "--bandwidth-mbps", "0.000001"],
     ["overhead", "--periods", "10", "--total-mb", "0.001"],
     ["overhead", "--periods", "10", "--seed", str(2**48)],
     ["split", "--strategy", "rr", "--boundary", "time", "--window-ms", "0"],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,30 @@ def test_input_validation():
         PathModel(rtt_us=RTT, bandwidth_bytes_per_s=BW, loss_rate=1.0)
     with pytest.raises(ValueError):
         sweep_frequencies(paths(), QUIC, [], MB)
+
+
+def test_sender_protocol_takes_its_value_string():
+    # "quic" once built a sender that simulated WireGuard roaming
+    assert SenderModel(protocol="quic") == QUIC
+    assert SenderModel(protocol="wireguard") == WG
+    by_value = simulate_transfer(paths(), SenderModel(protocol="quic"), 20_000, 100_000)
+    assert by_value == simulate_transfer(paths(), QUIC, 20_000, 100_000)
+    assert by_value.elapsed_us == 650_000
+    for bad in (0, None, b"quic"):
+        with pytest.raises(TypeError, match="^protocol must be one of"):
+            SenderModel(protocol=bad)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PathModel(rtt_us=50_000.5), "rtt_us must be an integer, got 50000.5"),
+    (lambda: PathModel(bandwidth_bytes_per_s=True), "bandwidth_bytes_per_s must be an integer"),
+    (lambda: PathModel(loss_rate=False), "loss_rate must be a number, got False"),
+    (lambda: SenderModel(Protocol.QUIC_MIGRATION, mss_bytes=1500.0),
+     "mss_bytes must be an integer, got 1500.0"),
+])
+def test_models_refuse_values_of_the_wrong_type(build, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}"):
+        build()
 
 
 def test_sweep_runs_each_baseline_once(monkeypatch):

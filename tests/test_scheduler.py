@@ -234,3 +234,25 @@ def test_config_round_trips_as_dict():
     assert SchedulerConfig.from_dict(config.to_dict()) == config
     with pytest.raises(ValueError, match="unknown scheduler config"):
         SchedulerConfig.from_dict({"bogus": 1})
+
+
+def test_config_enum_fields_take_their_value_strings():
+    # "rr" once built a config whose strategy matched no member, and
+    # schedule then failed reading weights it never drew
+    by_value = cfg(strategy="rr", boundary="time")
+    assert by_value == cfg(strategy=Strategy.ROUND_ROBIN, boundary=BoundaryMode.TIME_WINDOW)
+    assert by_value.strategy is Strategy.ROUND_ROBIN
+    assert schedule(uniform_trace(8), by_value).tolist() == [0] * 8
+    for name, bad in (("strategy", 1), ("strategy", None), ("boundary", b"time")):
+        with pytest.raises(TypeError, match=f"^{name} must be one of"):
+            cfg(**{name: bad})
+
+
+def test_config_refuses_values_of_the_wrong_type():
+    with pytest.raises(TypeError, match="^n_paths must be an integer, got 2.5$"):
+        cfg(n_paths=2.5)
+    with pytest.raises(TypeError, match="^seed must be an integer, got True$"):
+        cfg(seed=True)
+    with pytest.raises(TypeError, match="^dirichlet_alpha must be a number, got True$"):
+        cfg(dirichlet_alpha=True)
+    assert cfg(dirichlet_alpha=2) == cfg(dirichlet_alpha=2.0)

@@ -271,6 +271,13 @@ def test_trace_checks_reserved_label():
         Trace([], [], UNMONITORED_LABEL, True)  # empty traces too
 
 
+def test_trace_checks_label_and_monitored_types():
+    with pytest.raises(TypeError, match="monitored must be a bool, got 'no'"):
+        Trace([0, 1], [100, -100], "a", monitored="no")
+    with pytest.raises(TypeError, match="label must be a string, got 5"):
+        Trace([0, 1], [100, -100], 5, True)
+
+
 def test_dataset_holds_traces_only():
     traces = [mk_trace([(0, 100)]), mk_trace([(0, 100)], label="class-001"),
               mk_trace([(0, -80)], label=UNMONITORED_LABEL, monitored=False)]
