@@ -208,8 +208,13 @@ class OverheadConfig(Config):
         require(self, "rtt_ms", self.rtt_ms > 0, "finite and positive")
         require(self, "bandwidth_mbps", 0 < self.bandwidth_mbps < math.inf,
                 "finite and positive")
+        # a finite value can still give a byte count that int() cannot take
+        require(self, "bandwidth_mbps", self.bandwidth_mbps * 125_000 < math.inf,
+                "a finite number of bytes per second")
         require(self, "loss", 0 <= self.loss < 1, "in [0, 1)")
         require(self, "total_mb", 0 < self.total_mb < math.inf, "finite and positive")
+        require(self, "total_mb", self.total_mb * 1_000_000 < math.inf,
+                "a finite number of bytes")
         if self.bandwidth_bytes_per_s < 1:
             raise ValueError(
                 "bandwidth_mbps must be at least one byte per second (0.000008 Mbit/s)"

@@ -29,6 +29,11 @@ csv
     the same pass names the line of a faulty row. The writer formats each
     trace's rows from one quoted prefix.
 
+Both writers write trace by trace: each trace's text is made with one
+``%`` over its flattened columns and written to the file's atomic temp
+file before the next trace's is made, so a save holds memory
+O(largest trace), never the whole file's text.
+
 In both formats a packet's direction rides on the sign of its size:
 positive is outgoing (client to server), negative is incoming. Zero sizes
 are invalid, and every value must fit in int64. Loaders normalize every
@@ -46,7 +51,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -261,7 +265,11 @@ def load_dataset(path, fmt: str = "ndjson") -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path, fmt: str = "ndjson") -> None:
-    """Write a dataset; load(save(d)) reproduces d's traces exactly."""
+    """Write a dataset; load(save(d)) reproduces d's traces exactly.
+
+    The file is written trace by trace, so memory is O(largest trace), and
+    atomically: a save that fails leaves path as it was.
+    """
     _check_format(fmt)
     for i, trace in enumerate(dataset.traces):
         if not len(trace):
@@ -269,26 +277,38 @@ def save_dataset(dataset: Dataset, path, fmt: str = "ndjson") -> None:
                 f"trace {i} (label {trace.label!r}) has no packets; "
                 "empty traces are not representable on disk"
             )
-    if fmt == "ndjson":
-        text = _to_ndjson(dataset)
-    else:
-        text = _to_csv(dataset)
-    atomic_write_text(path, text)
+    with atomic_open(path) as fh:
+        if fmt == "ndjson":
+            for trace in dataset.traces:
+                fh.write(_ndjson_line(trace))
+        else:
+            fh.write(",".join(CSV_COLUMNS) + "\n")
+            for i, trace in enumerate(dataset.traces):
+                fh.write(_csv_rows(i, trace))
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a same-directory temp file plus rename."""
+@contextlib.contextmanager
+def atomic_open(path):
+    """A utf-8 text handle on a same-directory temp file that replaces path
+    when the block ends; a block that raises leaves path as it was and
+    removes the temp file."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pathsplit-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write text to path via a same-directory temp file plus rename."""
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _check_format(fmt: str) -> None:
@@ -696,37 +716,37 @@ def _flat_pairs(trace: Trace) -> tuple[int, ...]:
     return tuple(np.column_stack((trace.times_us, trace.signed_size)).ravel().tolist())
 
 
-def _to_ndjson(dataset: Dataset) -> str:
-    # each line is json.dumps of {"label", "monitored", "packets"}; the
-    # packets are formatted by one % per trace, not one call per pair
-    lines = []
-    for trace in dataset.traces:
-        head = json.dumps({"label": trace.label, "monitored": trace.monitored},
-                          ensure_ascii=False, separators=(",", ":"))
-        pairs = ("[%d,%d]," * len(trace))[:-1] % _flat_pairs(trace)
-        lines.append(f'{head[:-1]},"packets":[{pairs}]}}\n')
-    return "".join(lines)
+def _ndjson_line(trace: Trace) -> str:
+    # json.dumps of {"label", "monitored", "packets"}; the packets are
+    # formatted by one %, not one call per pair
+    head = json.dumps({"label": trace.label, "monitored": trace.monitored},
+                      ensure_ascii=False, separators=(",", ":"))
+    pairs = ("[%d,%d]," * len(trace))[:-1] % _flat_pairs(trace)
+    return f'{head[:-1]},"packets":[{pairs}]}}\n'
 
 
-def _to_csv(dataset: Dataset) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    head = io.StringIO()
-    writer = csv.writer(head, lineterminator="\n")
-    # the writer quotes only lineterminator characters; a bare \r in an
-    # unquoted label would end its row on reading
-    quote_all = csv.writer(head, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    for i, trace in enumerate(dataset.traces):
-        mon = "true" if trace.monitored else "false"
-        quoted = "\r" in trace.label
-        head.seek(0)
-        head.truncate()
-        (quote_all if quoted else writer).writerow((i, trace.label, mon))
-        # the trace's row prefix, without its lineterminator, as a % template
-        prefix = head.getvalue()[:-1].replace("%", "%%")
-        row = prefix + (',"%d","%d"\n' if quoted else ",%d,%d\n")
-        buf.write((row * len(trace)) % _flat_pairs(trace))
-    return buf.getvalue()
+class _Echo:
+    """A csv.writer target: writerow returns the row it formats."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+_CSV_HEAD = csv.writer(_Echo(), lineterminator="\n")
+# the writer quotes only lineterminator characters; a bare \r in an
+# unquoted label would end its row on reading
+_CSV_HEAD_QUOTED = csv.writer(_Echo(), lineterminator="\n", quoting=csv.QUOTE_ALL)
+
+
+def _csv_rows(index: int, trace: Trace) -> str:
+    """The csv rows of the trace with trace_id index."""
+    mon = "true" if trace.monitored else "false"
+    quoted = "\r" in trace.label
+    head = (_CSV_HEAD_QUOTED if quoted else _CSV_HEAD).writerow((index, trace.label, mon))
+    # the trace's row prefix, without its lineterminator, as a % template
+    row = head[:-1].replace("%", "%%") + (',"%d","%d"\n' if quoted else ",%d,%d\n")
+    return (row * len(trace)) % _flat_pairs(trace)
 
 
 # ---------------------------------------------------------------------------

@@ -184,14 +184,18 @@ def train_classifier(
     if unmonitored == 0:
         raise ValueError("degenerate training set: no unmonitored traces")
 
-    features = np.stack([extract_features(t) for t in train.traces])
+    features = np.empty((len(train.traces), FEATURE_DIM))
+    for i, trace in enumerate(train.traces):
+        features[i] = extract_features(trace)
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     std[std == 0.0] = 1.0
-    standardized = (features - mean) / std
 
+    # only the exemplars are standardized, and the feature matrix is freed
+    # before the search makes its screen buffer
     mon_idx = [i for i, t in enumerate(train.traces) if t.monitored]
-    exemplars = standardized[mon_idx]
+    exemplars = (features[mon_idx] - mean) / std
+    del features
     labels = tuple(train.traces[i].label for i in mon_idx)
     m = len(exemplars)
     if m <= k:

@@ -382,6 +382,11 @@ def _overhead(manifest, **changes):
     (lambda m: _overhead(m, loss=False), "loss must be a number, got False"),
     (lambda m: _overhead(m, bandwidth_mbps=0.000001),
      "bandwidth_mbps must be at least one byte per second"),
+    # finite, but their byte counts are not
+    (lambda m: _overhead(m, total_mb=1e303),
+     "total_mb must be a finite number of bytes, got 1e+303"),
+    (lambda m: _overhead(m, bandwidth_mbps=1e305),
+     "bandwidth_mbps must be a finite number of bytes per second, got 1e+305"),
     (lambda m: _evaluate(m, r=True), "r must be a number, got True"),
     (lambda m: _evaluate(m, threshold_quantile=True),
      "threshold_quantile must be a number, got True"),
@@ -424,6 +429,8 @@ BAD_FLAG_VALUES = [
     ["overhead", "--periods", "10", "--bandwidth-mbps", "inf"],
     ["overhead", "--periods", "10", "--bandwidth-mbps", "0.000001"],
     ["overhead", "--periods", "10", "--total-mb", "0.001"],
+    ["overhead", "--periods", "10", "--total-mb", "1e303"],
+    ["overhead", "--periods", "10", "--bandwidth-mbps", "1e305"],
     ["overhead", "--periods", "10", "--seed", str(2**48)],
     ["split", "--strategy", "rr", "--boundary", "time", "--window-ms", "0"],
     ["split", "--strategy", "wr", "--alpha", "nan"],
