@@ -27,7 +27,10 @@ from dataclasses import dataclass, fields
 
 from . import __version__
 from .config import Config, require
-from .netsim import PathModel, Protocol, SenderModel, sweep_frequencies, sweep_to_csv
+from .netsim import (
+    MAX_TOTAL_BYTES, SWEEP_SEED_LIMIT, PathModel, Protocol, SenderModel, sweep_frequencies,
+    sweep_to_csv,
+)
 from .scheduler import MAX_PATHS, SchedulerConfig, Strategy
 from .splitter import split_dataset
 from .traces import (
@@ -121,8 +124,8 @@ def _write_manifest(
 # manifest's config, their annotations the type rules (see config.py) and
 # its __post_init__ the rules on each value. A seed a runner passes on, its
 # own or its scheduler's, must not write the bytes of another seed:
-# rand.stream_rng folds seeds mod 2**63, the overhead sweep's
-# netsim._rep_seed mod 2**48.
+# rand.stream_rng folds seeds mod 2**63, and the overhead sweep takes
+# seeds below netsim.SWEEP_SEED_LIMIT = 2**48.
 _SEEDS = f"an integer in [0, {2**63})"
 
 
@@ -198,7 +201,8 @@ class OverheadConfig(Config):
 
     def __post_init__(self):
         super().__post_init__()
-        require(self, "seed", 0 <= self.seed < 2**48, f"an integer in [0, {2**48})")
+        require(self, "seed", 0 <= self.seed < SWEEP_SEED_LIMIT,
+                f"an integer in [0, {SWEEP_SEED_LIMIT})")
         require(self, "periods_ms", all(p >= 1 for p in self.periods_ms),
                 "finite periods of at least 1 ms")
         if not self.periods_ms:
@@ -215,6 +219,8 @@ class OverheadConfig(Config):
         require(self, "total_mb", 0 < self.total_mb < math.inf, "finite and positive")
         require(self, "total_mb", self.total_mb * 1_000_000 < math.inf,
                 "a finite number of bytes")
+        require(self, "total_mb", self.total_bytes <= MAX_TOTAL_BYTES,
+                f"at most {MAX_TOTAL_BYTES // 1_000_000} (netsim.MAX_TOTAL_BYTES)")
         if self.bandwidth_bytes_per_s < 1:
             raise ValueError(
                 "bandwidth_mbps must be at least one byte per second (0.000008 Mbit/s)"

@@ -28,13 +28,23 @@ rule to that stream: no loss when u <= exp(n * log1p(-p)), which most
 lossy flights meet; otherwise numpy's search for the count. Elsewhere the
 generator is put back at the first unused uniform and Generator.binomial
 draws.
+
+The flight loop recomputes nothing that depends only on the path and the
+window. Each transfer builds one tuple of constants per path, so a
+switch is one unpack, and a flight lasts one RTT exactly when its bytes
+are at most rtt * bandwidth // 10**6, so only longer flights divide. The
+next boundary is a deadline, (boundaries done + 1) * period, which a
+flight compares with the clock; the boundary count is divided out only
+once the clock passes it. Each path keeps numpy's zero-loss threshold
+exp(n * log1p(-p)) per window of n packets, so a lossy flight that loses
+nothing costs one uniform and one compare.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import exp, log1p, sqrt
+from math import exp, inf, log1p, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -43,11 +53,21 @@ from .config import Config, require
 from .rand import stream_rng
 
 _STREAM_NETSIM = 401
-_SSTHRESH_INF = float("inf")
 # losses are drawn from blocks of this many uniforms
 _UNIFORM_BLOCK = 1024
 # numpy draws a binomial by inversion when p <= 0.5 and n*p <= this
 _INVERSION_MAX_NP = 30.0
+# The largest transfer a simulation takes, 10,000 MB. A transfer costs
+# one loop pass per flight. At 1% loss on a 50 ms, 10 Mbit/s path this
+# size is 5.3e5 flights unswitched (a window of 12.6 packets on average,
+# near Mathis et al.'s 12.2) and 6.7e5 for QUIC switching every 5 ms,
+# and a sweep runs (periods + 1) x repetitions transfers. Lossier paths
+# take more flights per byte. An unbounded byte count, such as 1e306,
+# would run for longer than anyone waits.
+MAX_TOTAL_BYTES = 10_000 * 1_000_000
+# sweep seeds lie below this: _rep_seed folds seeds mod this, so a
+# larger seed would sweep the streams of a smaller one
+SWEEP_SEED_LIMIT = 2**48
 
 SWEEP_CSV_COLUMNS = (
     "period_us",
@@ -135,58 +155,56 @@ def _run(
     mss = sender.mss_bytes
     initial_cwnd = float(sender.initial_cwnd_packets * mss)
     quic = sender.protocol is Protocol.QUIC_MIGRATION
-    switching = switch_period_us is not None and len(paths) > 1
-    # per path: loss rate p, q = 1 - p, log q (numpy takes it as
-    # log1p(-p)), and the largest n*p numpy draws by inversion (none when
-    # p > 0.5)
-    loss_terms = [
-        (path.loss_rate, 1.0 - path.loss_rate, log1p(-path.loss_rate),
-         _INVERSION_MAX_NP if path.loss_rate <= 0.5 else -1.0)
+    validation_cache = sender.validation_cache
+    # per path: rtt, bandwidth, the largest flight that lasts one RTT
+    # (rtt >= ceil(f * 10**6 / bw) exactly when f <= rtt * bw // 10**6),
+    # loss rate p, q = 1 - p, log q (numpy takes it as log1p(-p)), and a
+    # dict from packet count n to numpy's zero-loss threshold qn, or to
+    # None where numpy does not draw by inversion
+    constants = [
+        (path.rtt_us, path.bandwidth_bytes_per_s,
+         path.rtt_us * path.bandwidth_bytes_per_s // 1_000_000,
+         path.loss_rate, 1.0 - path.loss_rate, log1p(-path.loss_rate), {})
         for path in paths
     ]
+    rtt, bandwidth, one_rtt_bytes, p, q, log_q, qns = constants[0]
     # cwnd/ssthresh are the active path's congestion state; on a switch
     # QUIC resets them (one connection-wide state) and WireGuard parks them
     # in cwnds/ssthreshes and resumes the new path's own
     cwnd = initial_cwnd
-    ssthresh = _SSTHRESH_INF
+    ssthresh = inf
     cwnds = [initial_cwnd] * len(paths)
-    ssthreshes = [_SSTHRESH_INF] * len(paths)
+    ssthreshes = [inf] * len(paths)
     validated = {0}
-    rtt = paths[0].rtt_us
-    bandwidth = paths[0].bandwidth_bytes_per_s
-    loss_rate, q, log_q, max_np = loss_terms[0]
-    # the uniforms of the current block, how many are used, and the
-    # generator state before the block
+    # the uniforms of the current block, how many are used (all before the
+    # first block and after a hand-back), and the generator state before it
     uniforms: list[float] = []
-    used = 0
+    used = _UNIFORM_BLOCK
     block_state = None
 
-    t = 0
-    acked = 0
-    path_index = 0
-    boundaries_done = 0
+    t = acked = path_index = boundaries_done = 0
+    # boundaries fall due once t // period > boundaries_done, that is once
+    # t >= (boundaries_done + 1) * period; never unswitched or on one path
+    next_switch = inf if switch_period_us is None or len(paths) == 1 else switch_period_us
     while acked < total_bytes:
-        if switching:
+        if t >= next_switch:
             due = t // switch_period_us
-            if due > boundaries_done:
-                if not quic:
-                    cwnds[path_index] = cwnd
-                    ssthreshes[path_index] = ssthresh
-                path_index = (path_index + (due - boundaries_done)) % len(paths)
-                boundaries_done = due
-                path = paths[path_index]
-                rtt = path.rtt_us
-                bandwidth = path.bandwidth_bytes_per_s
-                loss_rate, q, log_q, max_np = loss_terms[path_index]
-                if quic:
-                    if not (sender.validation_cache and path_index in validated):
-                        t += rtt  # path validation stall
-                    validated.add(path_index)
-                    cwnd = initial_cwnd
-                    ssthresh = _SSTHRESH_INF
-                else:
-                    cwnd = cwnds[path_index]
-                    ssthresh = ssthreshes[path_index]
+            if not quic:
+                cwnds[path_index] = cwnd
+                ssthreshes[path_index] = ssthresh
+            path_index = (path_index + (due - boundaries_done)) % len(paths)
+            boundaries_done = due
+            next_switch = (due + 1) * switch_period_us
+            rtt, bandwidth, one_rtt_bytes, p, q, log_q, qns = constants[path_index]
+            if quic:
+                if not (validation_cache and path_index in validated):
+                    t += rtt  # path validation stall
+                validated.add(path_index)
+                cwnd = initial_cwnd
+                ssthresh = inf
+            else:
+                cwnd = cwnds[path_index]
+                ssthresh = ssthreshes[path_index]
 
         # cwnd never falls below one MSS, so a flight is at least
         # min(mss, bytes left)
@@ -194,46 +212,48 @@ def _run(
         if flight > total_bytes - acked:
             flight = total_bytes - acked
         n_packets = -(-flight // mss)
-        if not loss_rate:
-            losses = 0
-        elif n_packets * loss_rate <= max_np:
-            losses = 0
-            qn = exp(n_packets * log_q)
-            while True:
-                if used == len(uniforms):
-                    block_state = bit_generator.state
-                    uniforms = rng.random(_UNIFORM_BLOCK).tolist()
-                    used = 0
-                u = uniforms[used]
-                used += 1
-                if u <= qn:
-                    break
-                losses = _inversion_tail(u, n_packets, loss_rate, q, qn)
-                if losses:
-                    break
-        else:
-            if used < len(uniforms):
-                # hand the generator back at the first unused uniform
-                bit_generator.state = block_state
-                rng.random(used)
-                uniforms = []
-                used = 0
-            losses = int(rng.binomial(n_packets, loss_rate))
-        delivered = flight - losses * mss
-        if delivered < 0:
-            delivered = 0
-        serialization = -(-flight * 1_000_000 // bandwidth)
-        t += rtt if rtt >= serialization else serialization
-        acked += delivered
+        losses = 0
+        if p:
+            try:
+                qn = qns[n_packets]
+            except KeyError:
+                qn = qns[n_packets] = (
+                    exp(n_packets * log_q)
+                    if p <= 0.5 and n_packets * p <= _INVERSION_MAX_NP else None)
+            if qn is not None:
+                while True:
+                    if used == _UNIFORM_BLOCK:
+                        block_state = bit_generator.state
+                        uniforms = rng.random(_UNIFORM_BLOCK).tolist()
+                        used = 0
+                    u = uniforms[used]
+                    used += 1
+                    if u <= qn:
+                        break
+                    losses = _inversion_tail(u, n_packets, p, q, qn)
+                    if losses:
+                        break
+            else:
+                if used < _UNIFORM_BLOCK:
+                    # hand the generator back at the first unused uniform
+                    bit_generator.state = block_state
+                    rng.random(used)
+                    used = _UNIFORM_BLOCK
+                losses = int(rng.binomial(n_packets, p))
+        t += rtt if flight <= one_rtt_bytes else -(-flight * 1_000_000 // bandwidth)
         if losses:
+            if flight > losses * mss:
+                acked += flight - losses * mss
             ssthresh = cwnd / 2.0
             if ssthresh < 2.0 * mss:
                 ssthresh = 2.0 * mss
             cwnd = ssthresh  # at least 2 MSS, so above the 1-MSS floor
-        elif cwnd < ssthresh:
-            cwnd += delivered
         else:
-            cwnd += mss * mss * n_packets / cwnd
+            acked += flight
+            if cwnd < ssthresh:
+                cwnd += flight
+            else:
+                cwnd += mss * mss * n_packets / cwnd
     return t, acked
 
 
@@ -252,6 +272,8 @@ def simulate_transfer(
         raise ValueError(f"switch_period_us must be >= 1, got {switch_period_us}")
     if total_bytes < sender.mss_bytes:
         raise ValueError("total_bytes must be at least one MSS")
+    if total_bytes > MAX_TOTAL_BYTES:
+        raise ValueError(f"total_bytes must be at most {MAX_TOTAL_BYTES}, got {total_bytes}")
     stream = (seed, _STREAM_NETSIM)
     elapsed, acked = _run(paths, sender, switch_period_us, total_bytes, stream)
     return TransferResult(
@@ -275,6 +297,8 @@ def sweep_frequencies(
         raise ValueError("repetitions must be >= 1")
     if len(periods_us) == 0:
         raise ValueError("need at least one switching period")
+    if not 0 <= seed < SWEEP_SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, {SWEEP_SEED_LIMIT}), got {seed}")
     seeds = [_rep_seed(seed, rep) for rep in range(repetitions)]
     base = [simulate_transfer(paths, sender, None, total_bytes, s) for s in seeds]
     mean_base = float(np.mean([run.throughput_bytes_per_s for run in base]))
@@ -306,4 +330,4 @@ def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
 def _rep_seed(seed: int, rep: int) -> int:
     # fold (seed, repetition) into one stream id without collisions for
     # any realistic repetition count
-    return (int(seed) % 2**48) * 1_000_003 + rep
+    return (int(seed) % SWEEP_SEED_LIMIT) * 1_000_003 + rep

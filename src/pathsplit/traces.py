@@ -55,7 +55,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import warnings
 from array import array
 from collections.abc import Sequence
@@ -294,7 +293,10 @@ def atomic_open(path):
     removes the temp file."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pathsplit-", suffix=".tmp")
+    tmp = os.path.join(directory, f".pathsplit-{os.urandom(8).hex()}.tmp")
+    # mode 0o666 less the umask, the mode open() gives a new file; the
+    # replace keeps it
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh

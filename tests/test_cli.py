@@ -1,9 +1,11 @@
 import csv
 import json
+import os
+import stat
 
 import pytest
 
-from pathsplit import __version__, cli
+from pathsplit import __version__, cli, netsim
 from pathsplit.cli import main
 from pathsplit.traces import load_dataset
 
@@ -166,6 +168,39 @@ def test_replay_reproduces_artifacts_byte_identically(small_corpus, tmp_path):
     assert run(["replay", str(small_corpus) + ".manifest.json",
                 "-o", str(data_copy)]) == 0
     assert data_copy.read_bytes() == small_corpus.read_bytes()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_artifacts_and_manifests_take_the_umask(tmp_path, umask, mode):
+    # the mode open() gives a new file, not the temp file's 0o600
+    old = os.umask(umask)
+    try:
+        for name in ("data.ndjson", "data.csv"):
+            assert run(["generate", "--classes", "2", "--per-class", "4",
+                        "--unmonitored", "4", "-o", str(tmp_path / name)]) == 0
+        assert run(["evaluate", "-i", str(tmp_path / "data.ndjson"), "--defense", "none",
+                    "--k", "2", "-o", str(tmp_path / "report.json")]) == 0
+        assert run(["overhead", "--protocol", "quic", "--periods", "10", "--reps", "1",
+                    "--total-mb", "0.1", "-o", str(tmp_path / "sweep.csv")]) == 0
+    finally:
+        os.umask(old)
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert len(written) == 8  # four artifacts and their manifests
+    for name in written:
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
+
+
+def test_total_mb_is_capped_before_any_work(tmp_path, capsys, monkeypatch):
+    # 1e300 MB once ran on with no end in sight
+    out = tmp_path / "sweep.csv"
+    argv = ["overhead", "--protocol", "quic", "--periods", "10", "--reps", "1", "-o", str(out)]
+    assert run([*argv, "--total-mb", "1e300"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: total_mb must be at most 10000 (netsim.MAX_TOTAL_BYTES), got 1e+300\n")
+    assert not out.exists() and not (tmp_path / "sweep.csv.manifest.json").exists()
+    at_cap = cli._resolve("overhead", _flag_config(monkeypatch, [*argv, "--total-mb", "10000"]))
+    assert at_cap.total_bytes == netsim.MAX_TOTAL_BYTES == 10_000 * 1_000_000
 
 
 def test_replay_missing_manifest_exits_1(tmp_path):
@@ -430,6 +465,8 @@ BAD_FLAG_VALUES = [
     ["overhead", "--periods", "10", "--bandwidth-mbps", "0.000001"],
     ["overhead", "--periods", "10", "--total-mb", "0.001"],
     ["overhead", "--periods", "10", "--total-mb", "1e303"],
+    ["overhead", "--periods", "10", "--total-mb", "1e300"],
+    ["overhead", "--periods", "10", "--total-mb", "10000.000001"],  # one byte over
     ["overhead", "--periods", "10", "--bandwidth-mbps", "1e305"],
     ["overhead", "--periods", "10", "--seed", str(2**48)],
     ["split", "--strategy", "rr", "--boundary", "time", "--window-ms", "0"],

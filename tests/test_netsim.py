@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pathsplit import netsim
@@ -153,6 +153,30 @@ def test_input_validation():
         PathModel(rtt_us=RTT, bandwidth_bytes_per_s=BW, loss_rate=1.0)
     with pytest.raises(ValueError):
         sweep_frequencies(paths(), QUIC, [], MB)
+
+
+def test_transfer_size_is_capped(monkeypatch):
+    # 1e300 MB once ran on with no end in sight
+    too_big = netsim.MAX_TOTAL_BYTES + 1
+    with pytest.raises(ValueError, match=f"^total_bytes must be at most {too_big - 1}, got"):
+        simulate_transfer(paths(), QUIC, None, too_big)
+    with pytest.raises(ValueError, match="^total_bytes must be at most"):
+        sweep_frequencies(paths(), QUIC, [10_000], too_big, repetitions=1)
+    # the cap itself is taken; a stub stands in for its 5e5 flights
+    monkeypatch.setattr(netsim, "_run", lambda paths, sender, period, total, stream: (1, total))
+    result = simulate_transfer(paths(), QUIC, None, netsim.MAX_TOTAL_BYTES)
+    assert result.bytes_transferred == netsim.MAX_TOTAL_BYTES
+
+
+def test_sweep_refuses_seeds_its_streams_would_fold():
+    # _rep_seed took seeds mod 2**48: 2**48 swept the bytes of seed 0
+    for bad in (-1, 2**48, 2**48 + 7, 2**63):
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 281474976710656\), got"):
+            sweep_frequencies(paths(), WG, [10_000], 100_000, repetitions=1, seed=bad)
+    last = sweep_frequencies(paths(loss=0.01), WG, [10_000], 100_000, repetitions=2,
+                             seed=2**48 - 1)
+    first = sweep_frequencies(paths(loss=0.01), WG, [10_000], 100_000, repetitions=2, seed=0)
+    assert last != first
 
 
 def test_sender_protocol_takes_its_value_string():
@@ -330,6 +354,14 @@ def transfers(draw):
 
 LOSSY = [PathModel(rtt_us=RTT, bandwidth_bytes_per_s=BW, loss_rate=0.01),
          PathModel(rtt_us=2 * RTT, bandwidth_bytes_per_s=BW, loss_rate=0.2)]
+# no two alike in rtt, bandwidth or loss, and no rtt * bandwidth a
+# multiple of 10**6
+UNLIKE = [PathModel(rtt_us=10_007, bandwidth_bytes_per_s=2_000_003, loss_rate=0.02),
+          PathModel(rtt_us=30_011, bandwidth_bytes_per_s=500_009, loss_rate=0.1),
+          PathModel(rtt_us=70_001, bandwidth_bytes_per_s=12_500_001, loss_rate=0.005)]
+# rtt * bandwidth = 1,500,500,000: 1500 bytes last one RTT (150,000 us
+# to serialize) and 1501 bytes last 150,100 us
+ONE_RTT_1500 = PathModel(rtt_us=150_050, bandwidth_bytes_per_s=10_000, loss_rate=0.01)
 
 
 @given(transfer=transfers(), seed=st.integers(0, 2**40))
@@ -339,6 +371,20 @@ LOSSY = [PathModel(rtt_us=RTT, bandwidth_bytes_per_s=BW, loss_rate=0.01),
                    60_000, 30 * MB), seed=0)
 # p > 0.5 on one path: every flight there hands the generator back
 @example(transfer=(LOSSY[:1] + [PathModel(loss_rate=0.7)], WG, 50_000, 5 * MB), seed=1)
+# QUIC restarts every flight at 1501 bytes, one above the one-RTT size,
+# and the last flight carries exactly that size, 1500 bytes
+@example(transfer=([ONE_RTT_1500] * 2,
+                   SenderModel(Protocol.QUIC_MIGRATION, initial_cwnd_packets=1, mss_bytes=1501),
+                   1, 3 * 1501 + 1500), seed=2)
+# a 1 us period: thousands of boundaries, many times the path count, pass
+# inside each flight
+@example(transfer=(UNLIKE, WG, 1, 2 * MB), seed=3)
+# a lossless path between lossy ones draws nothing
+@example(transfer=([UNLIKE[0], PathModel(rtt_us=20_003, bandwidth_bytes_per_s=1_000_001),
+                    UNLIKE[1]], WG, 15_000, 2 * MB), seed=4)
+# every switch restarts QUIC at 10 packets, whatever the path's loss rate
+@example(transfer=(UNLIKE, QUIC_CACHED, 20_000, 2 * MB), seed=5)
+@settings(max_examples=300)
 def test_run_draws_what_one_binomial_per_flight_draws(transfer, seed):
     paths_, sender, period, total_bytes = transfer
     stream = (seed, netsim._STREAM_NETSIM)
