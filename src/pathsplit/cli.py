@@ -28,8 +28,8 @@ from dataclasses import dataclass, fields
 from . import __version__
 from .config import Config, require
 from .netsim import (
-    MAX_TOTAL_BYTES, SWEEP_SEED_LIMIT, PathModel, Protocol, SenderModel, sweep_frequencies,
-    sweep_to_csv,
+    SWEEP_SEED_LIMIT, PathModel, Protocol, SenderModel, max_total_bytes,
+    sweep_frequencies, sweep_to_csv,
 )
 from .scheduler import MAX_PATHS, SchedulerConfig, Strategy
 from .splitter import split_dataset
@@ -219,8 +219,10 @@ class OverheadConfig(Config):
         require(self, "total_mb", 0 < self.total_mb < math.inf, "finite and positive")
         require(self, "total_mb", self.total_mb * 1_000_000 < math.inf,
                 "a finite number of bytes")
-        require(self, "total_mb", self.total_bytes <= MAX_TOTAL_BYTES,
-                f"at most {MAX_TOTAL_BYTES // 1_000_000} (netsim.MAX_TOTAL_BYTES)")
+        cap = max_total_bytes(self.loss)
+        require(self, "total_mb", self.total_bytes <= cap,
+                f"at most {cap / 1_000_000:.15g} (netsim.MAX_TOTAL_BYTES"
+                + (" * (1 - loss))" if self.loss else ")"))
         if self.bandwidth_bytes_per_s < 1:
             raise ValueError(
                 "bandwidth_mbps must be at least one byte per second (0.000008 Mbit/s)"

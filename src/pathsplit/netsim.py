@@ -57,13 +57,13 @@ _STREAM_NETSIM = 401
 _UNIFORM_BLOCK = 1024
 # numpy draws a binomial by inversion when p <= 0.5 and n*p <= this
 _INVERSION_MAX_NP = 30.0
-# The largest transfer a simulation takes, 10,000 MB. A transfer costs
-# one loop pass per flight. At 1% loss on a 50 ms, 10 Mbit/s path this
-# size is 5.3e5 flights unswitched (a window of 12.6 packets on average,
-# near Mathis et al.'s 12.2) and 6.7e5 for QUIC switching every 5 ms,
-# and a sweep runs (periods + 1) x repetitions transfers. Lossier paths
-# take more flights per byte. An unbounded byte count, such as 1e306,
-# would run for longer than anyone waits.
+# The largest lossless transfer a simulation takes, 10,000 MB; see
+# max_total_bytes for lossy paths. A transfer costs one loop pass per
+# flight. At 1% loss on a 50 ms, 10 Mbit/s path this size is 5.3e5
+# flights unswitched (a window of 12.6 packets on average, near Mathis et
+# al.'s 12.2) and 6.7e5 for QUIC switching every 5 ms, and a sweep runs
+# (periods + 1) x repetitions transfers. An unbounded byte count, such as
+# 1e306, would run for longer than anyone waits.
 MAX_TOTAL_BYTES = 10_000 * 1_000_000
 # sweep seeds lie below this: _rep_seed folds seeds mod this, so a
 # larger seed would sweep the streams of a smaller one
@@ -257,6 +257,18 @@ def _run(
     return t, acked
 
 
+def max_total_bytes(loss_rate: float) -> int:
+    """The largest transfer taken over paths whose highest loss rate is
+    loss_rate: MAX_TOTAL_BYTES * (1 - loss_rate).
+
+    Lost packets are sent again, and after a flight's first loss the
+    window never falls below 2 MSS, so the expected flight count stays
+    below about MAX_TOTAL_BYTES / (2 MSS), 3.3e6 at a 1500-byte MSS, at
+    any loss rate; at loss 0.99 a 10,000 MB transfer would take 3.5e8.
+    """
+    return int(MAX_TOTAL_BYTES * (1 - loss_rate))
+
+
 def simulate_transfer(
     paths: Sequence[PathModel],
     sender: SenderModel,
@@ -265,15 +277,21 @@ def simulate_transfer(
     seed: int = 0,
 ) -> TransferResult:
     """Transfer total_bytes, switching paths every switch_period_us, or
-    never when it is None."""
+    never when it is None. seed lies in [0, 2**63), the seeds
+    rand.stream_rng tells apart."""
     if not paths:
         raise ValueError("need at least one path")
     if switch_period_us is not None and switch_period_us < 1:
         raise ValueError(f"switch_period_us must be >= 1, got {switch_period_us}")
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"seed must be in [0, {2**63}), got {seed}")
     if total_bytes < sender.mss_bytes:
         raise ValueError("total_bytes must be at least one MSS")
-    if total_bytes > MAX_TOTAL_BYTES:
-        raise ValueError(f"total_bytes must be at most {MAX_TOTAL_BYTES}, got {total_bytes}")
+    loss = max(path.loss_rate for path in paths)
+    cap = max_total_bytes(loss)
+    if total_bytes > cap:
+        at = f" at loss rate {loss}" if loss else ""
+        raise ValueError(f"total_bytes must be at most {cap}{at}, got {total_bytes}")
     stream = (seed, _STREAM_NETSIM)
     elapsed, acked = _run(paths, sender, switch_period_us, total_bytes, stream)
     return TransferResult(
@@ -329,5 +347,6 @@ def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
 
 def _rep_seed(seed: int, rep: int) -> int:
     # fold (seed, repetition) into one stream id without collisions for
-    # any realistic repetition count
-    return (int(seed) % SWEEP_SEED_LIMIT) * 1_000_003 + rep
+    # any realistic repetition count; taken mod 2**63 as stream_rng takes
+    # it, so the id is a seed simulate_transfer takes and names the same stream
+    return ((int(seed) % SWEEP_SEED_LIMIT) * 1_000_003 + rep) % 2**63

@@ -17,17 +17,14 @@ ndjson
 
 csv
     Header ``trace_id,label,monitored,timestamp_us,signed_size``, one row
-    per packet, rows grouped by ``trace_id``; each id forms one contiguous
-    group. The grammar is ``csv.reader``'s with the default dialect. The
-    loader parses it with numpy's C reader (``np.loadtxt``) in blocks of
-    rows, not the whole file at once: the C reader makes a Python str of
-    every text field, so a whole-file parse holds all of them at its
-    peak, and a label kept from it pins the allocator memory they shared.
-    The C reader converts the two number columns itself. It refuses some
-    spellings that ``int()`` takes (``1_0``, non-ASCII digits), and a file
-    holding one loads through a row-by-row ``csv.reader`` pass instead;
-    the same pass names the line of a faulty row. The writer formats each
-    trace's rows from one quoted prefix.
+    per packet; each ``trace_id``'s rows form one contiguous group. The
+    grammar is ``csv.reader``'s with the default dialect. Two parsers
+    yield blocks of rows and check only the column count and that each
+    number is an int64: numpy's C reader (``np.loadtxt``), a block at a
+    time since it makes a Python str of every text field, and, from the
+    first block it refuses on (``1_0``, non-ASCII digits, which ``int()``
+    takes), ``csv.reader`` and ``int()``. One checker takes the blocks of
+    either. The writer formats each trace's rows from one quoted prefix.
 
 Both writers write trace by trace: each trace's text is made with one
 ``%`` over its flattened columns and written to the file's atomic temp
@@ -41,10 +38,19 @@ trace so its first packet sits at t=0 with packets stably sorted by
 timestamp, and reject unknown fields or columns by name. The label
 "unmonitored" is reserved: traces with monitored=false must carry it and
 monitored traces must not. Building a :class:`Trace` checks the size,
-time and label rules. Both loaders instead hand the whole file's columns
-to one builder, which sorts and rebases each trace in place, checks the
-timestamp span, size and label rules over whole columns and cuts the
-traces as read-only slices; the loaders add the line to its refusal.
+time and label rules; both loaders instead hand the file's columns to
+one builder, which sorts and rebases each trace in place, checks the
+span, size and label rules over whole columns and cuts read-only slices.
+
+Every packet is a row (an ndjson line holds its trace's rows), and
+every fault sits on a row: a zero size on its own, a trace's span or
+reserved label on its first. The loaders build the rows before a fault
+first, so the fault on the earliest row is named; on one row, parsing
+comes first (ndjson: the JSON, fields, packet entries; csv: the column
+count, ``timestamp_us``, ``signed_size``), then the csv ``monitored``
+spelling, a label or flag change inside a trace or a reappearing
+``trace_id``, then span, zero size, reserved label.
+:class:`DatasetFormatError` names the line the faulty row begins on.
 """
 
 from __future__ import annotations
@@ -57,9 +63,10 @@ import os
 import sys
 import warnings
 from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable
 
 import numpy as np
@@ -77,7 +84,12 @@ INT64_MAX = 2**63 - 1
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file violates the wire format; names the offending line."""
+    """A dataset file violates the wire format.
+
+    line is the 1-based line on which the faulty row begins: an ndjson
+    record's line, or the first line of a csv row, which a quoted field
+    may carry over several lines.
+    """
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -318,12 +330,12 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-class _TraceRuleError(ValueError):
-    """A trace read from a file breaks a rule; index is its place in the file."""
+class _RowError(ValueError):
+    """A file's fault; row counts the file's packet rows before its own."""
 
-    def __init__(self, message: str, index: int):
+    def __init__(self, message: str, row: int):
         super().__init__(message)
-        self.index = index
+        self.row = row
 
 
 def _traces_from_columns(starts, heads, times: np.ndarray,
@@ -334,15 +346,16 @@ def _traces_from_columns(starts, heads, times: np.ndarray,
     place and leaves read-only; starts holds the index of each trace's first
     packet in file order, heads each trace's (label, monitored). Every
     trace is non-empty. The checks run over whole columns; the first trace
-    in file order that breaks a rule raises :class:`_TraceRuleError` with
-    the message building it as a :class:`Trace` would give, its rules
-    taken in this order: the span of its timestamps fits in int64, no size
-    is zero, the reserved label is used as the flag says.
+    in file order that breaks a rule raises :class:`_RowError` with the
+    message building it as a :class:`Trace` would give, on the earliest
+    row of its faults (span and label: its first; zero size: its own; on
+    one row span, then zero size, then label).
     """
     if not len(times):
         return []
     starts = np.asarray(starts, dtype=np.intp)
     ends = np.append(starts[1:], len(times))
+    zeros = np.flatnonzero(sizes == 0)  # rows in file order, before any sort
     # a drop in timestamp is disorder unless it is where a trace begins
     drops = np.flatnonzero(times[1:] < times[:-1]) + 1
     owners = np.searchsorted(starts, drops, side="right") - 1
@@ -357,7 +370,6 @@ def _traces_from_columns(starts, heads, times: np.ndarray,
     # a trace's last time wrapped below 0 iff its span exceeds int64
     bad_span = times[ends - 1] < 0
     zero_size = np.zeros(len(starts), dtype=bool)
-    zeros = np.flatnonzero(sizes == 0)
     zero_size[np.searchsorted(starts, zeros, side="right") - 1] = True
     bad_label = np.fromiter(
         ((label == UNMONITORED_LABEL) == monitored for label, monitored in heads),
@@ -367,13 +379,18 @@ def _traces_from_columns(starts, heads, times: np.ndarray,
     if len(broken):
         t = int(broken[0])
         label, monitored = heads[t]
+        first = int(starts[t])
+        faults = []  # (row, order on the row, message)
         if bad_span[t]:
-            message = f"timestamps of trace {label!r} span more than the int64 range"
-        elif zero_size[t]:
-            message = "zero-size packet; sizes must be non-zero"
-        else:
-            message = _reserved_label_misuse(label, monitored)
-        raise _TraceRuleError(message, t)
+            faults.append((first, 0, f"timestamps of trace {label!r} span more than "
+                                     "the int64 range"))
+        if zero_size[t]:
+            zero = int(zeros[np.searchsorted(zeros, first)])
+            faults.append((zero, 1, "zero-size packet; sizes must be non-zero"))
+        if bad_label[t]:
+            faults.append((first, 2, _reserved_label_misuse(label, monitored)))
+        row, _, message = min(faults)
+        raise _RowError(message, row)
     times.flags.writeable = sizes.flags.writeable = False
     return [
         Trace._subset(times[s:e], sizes[s:e], label, monitored)
@@ -483,38 +500,14 @@ def _ndjson_traces(lines, starts, heads, times: array, sizes: array) -> list[Tra
         return _traces_from_columns(
             starts, heads, np.frombuffer(times, np.int64), np.frombuffer(sizes, np.int64)
         )
-    except _TraceRuleError as exc:
-        raise DatasetFormatError(str(exc), lines[exc.index]) from None
-
-
-def _parse_bool(value: str, line: int) -> bool:
-    lowered = value.strip().lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    raise DatasetFormatError(f"monitored must be true/false, got {value!r}", line)
-
-
-def _parse_int(value: str, column: str, line: int) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        raise DatasetFormatError(
-            f"{column} must be an integer, got {value!r}", line
-        ) from None
-    if not _in_int64(number):
-        raise DatasetFormatError(f"{column} must fit in int64, got {value!r}", line)
-    return number
+    except _RowError as exc:
+        raise DatasetFormatError(str(exc), lines[bisect_right(starts, exc.row) - 1]) from None
 
 
 @contextlib.contextmanager
 def _fields_of_any_size():
-    """Let csv.reader take a field of any length, as np.loadtxt does.
-
-    csv.field_size_limit is interpreter-wide (131072 by default), so the
-    previous limit comes back on exit.
-    """
+    """Let csv.reader take a field of any length, as np.loadtxt does; the
+    interpreter-wide limit (131072 by default) comes back on exit."""
     previous = csv.field_size_limit(sys.maxsize)
     try:
         yield
@@ -522,86 +515,19 @@ def _fields_of_any_size():
         csv.field_size_limit(previous)
 
 
-def _check_csv_rows(path):
-    """Read a csv dataset with csv.reader; raise at the first faulty row.
-
-    Returns the columns of a file with no faulty row, as
-    :func:`_csv_columns` does. The loader calls this when the C reader
-    refuses a row, to read a number spelling only ``int()`` takes or to
-    name the faulty line, and when a trace breaks a rule, to name its line.
-    """
-    starts: list[int] = []
-    heads: list[tuple[str, bool]] = []
-    times, sizes = array("q"), array("q")
-    with open(path, "r", encoding="utf-8", newline="") as fh, _fields_of_any_size():
-        reader = csv.reader(fh)
-        next(reader)  # the header was checked already
-        seen: set[str] = set()
-        current_id = None
-        label, monitored, start, low, high = "", False, 2, 0, 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_COLUMNS):
-                raise DatasetFormatError(
-                    f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", lineno
-                )
-            tid, row_label, row_mon_s, ts_s, size_s = row
-            row_monitored = _parse_bool(row_mon_s, lineno)
-            ts = _parse_int(ts_s, "timestamp_us", lineno)
-            size = _parse_int(size_s, "signed_size", lineno)
-            if size == 0:
-                raise DatasetFormatError(f"zero-size packet in trace {tid!r}", lineno)
-            misuse = _reserved_label_misuse(row_label, row_monitored)
-            if misuse:
-                raise DatasetFormatError(misuse, lineno)
-            if tid != current_id:
-                _check_span(current_id, low, high, start)
-                if tid in seen:
-                    raise DatasetFormatError(
-                        f"trace_id {tid!r} reappears after another trace_id; "
-                        "each trace's rows must be contiguous",
-                        lineno,
-                    )
-                seen.add(tid)
-                current_id, label, monitored = tid, row_label, row_monitored
-                start, low, high = lineno, ts, ts
-                starts.append(len(times))
-                heads.append((label, monitored))
-            elif row_label != label or row_monitored != monitored:
-                raise DatasetFormatError(
-                    f"trace {tid!r} changes label or monitored flag mid-group",
-                    lineno,
-                )
-            low, high = min(low, ts), max(high, ts)
-            times.append(ts)
-            sizes.append(size)
-        _check_span(current_id, low, high, start)
-    return starts, heads, np.frombuffer(times, np.int64), np.frombuffer(sizes, np.int64)
-
-
-def _check_span(trace: str | None, low: int, high: int, line: int) -> None:
-    if high - low > INT64_MAX:  # rebasing in int64 would wrap silently
-        raise DatasetFormatError(
-            f"timestamps of trace {trace!r} span more than the int64 range", line
-        )
-
-
-# Rows parsed per np.loadtxt call. The C reader makes a Python str of
-# every text field, so the parse holds memory in proportion to its rows:
-# on the 128k-row benchmark corpus a whole-file parse raised the load's
-# peak RSS by 50 MB (405 B per packet), 512-row blocks by 4 MB (33 B). The
-# ids and labels kept from a block are copies, because a str taken from a
-# parsed block keeps alive the allocator arena it shares with the block's
-# other fields: after a whole-file parse that left 43 MB resident, not 5 MB.
+# Rows parsed per block. The C reader makes a Python str of every text
+# field, so the parse holds memory in proportion to its rows: on the
+# 128k-row benchmark corpus a whole-file parse raised the load's peak RSS
+# by 50 MB (405 B per packet), 512-row blocks by 4 MB (33 B). The ids and
+# labels kept from a block are copies, because a str taken from a parsed
+# block keeps alive the allocator arena it shares with the block's other
+# fields: after a whole-file parse that left 43 MB resident, not 5 MB.
 _CSV_BLOCK_ROWS = 512
 
-# The C reader converts the numbers itself. It refuses some spellings that
-# int() takes (1_0, non-ASCII digits); a file holding one loads through
-# the csv.reader pass instead. From numpy 1.23, an integer field the C
-# reader refuses may be parsed as a float and truncated, with only a
+# The record both parsers make of a row. From numpy 1.23, an integer field
+# the C reader refuses may be parsed as a float and truncated, with only a
 # DeprecationWarning (numpy 2.4 refuses it outright); that warning is made
-# an error, so 1.5, 1e3 and 2**63 go to the csv.reader pass and are refused.
+# an error, so 1.5, 1e3 and 2**63 go to csv.reader and int() and are refused.
 _CSV_DTYPE = np.dtype([
     (name, np.int64 if name in ("timestamp_us", "signed_size") else object)
     for name in CSV_COLUMNS
@@ -614,69 +540,132 @@ _LOADTXT_VIA_FLOAT = r".*integer via a float"
 _TRUTH = {"true": True, "false": False}
 
 
-def _csv_columns(fh):
-    """Parse the csv rows left in fh a block at a time with numpy's C reader.
-
-    Returns the index of each trace's first row, each trace's (label,
-    monitored), and the timestamp and size columns; None if the C reader
-    refuses a row, a flag is not true/false, a label or monitored flag
-    changes inside a trace, or a trace_id reappears.
-    """
-    starts: list[int] = []
-    heads: list[tuple[str, bool]] = []
-    tids: list[str] = []
-    time_blocks, size_blocks = [], []
-    previous = (None, None, False)  # trace_id, label, monitored of the last row
-    n = 0
+def _csv_blocks(fh, path):
+    """The csv rows left in fh, past the header of the file at path, as
+    blocks of _CSV_DTYPE records: numpy's C reader parses blocks until it
+    refuses one, and csv.reader and int() the rest of the file. The rows
+    before the first one they refuse come as a block before its fault."""
+    row = 0
     with warnings.catch_warnings():
         for message in _LOADTXT_NO_DATA:
             warnings.filterwarnings("ignore", message, UserWarning)
         warnings.filterwarnings("error", _LOADTXT_VIA_FLOAT, DeprecationWarning)
         while True:
             try:
-                block = np.loadtxt(
-                    fh, dtype=_CSV_DTYPE, delimiter=",", quotechar='"',
-                    comments=None, ndmin=1, max_rows=_CSV_BLOCK_ROWS,
-                )
+                block = np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",", quotechar='"',
+                                   comments=None, ndmin=1, max_rows=_CSV_BLOCK_ROWS)
             except ValueError:  # a column count or a number it refuses
-                return None
-            if not len(block):
                 break
-            flags = _csv_flags(block["monitored"])
-            if flags is None:
-                return None
-            # copies: a field view would keep the whole block, strings included
-            time_blocks.append(block["timestamp_us"].copy())
-            size_blocks.append(block["signed_size"].copy())
-            block_tids, labels = block["trace_id"], block["label"]
-            new = _changes(block_tids, previous[0])
-            inner = _changes(labels, previous[1]) | _changes(flags, previous[2])
-            if (inner & ~new).any():
-                return None  # label or monitored flag changes inside a trace
-            for i in np.flatnonzero(new).tolist():
-                starts.append(n + i)
-                # copies, so no kept string pins the block's memory
-                tids.append(block_tids[i].encode().decode())
-                heads.append((labels[i].encode().decode(), bool(flags[i])))
-            previous = (block_tids[-1], labels[-1], flags[-1])
-            n += len(block)
-    if len(set(tids)) != len(tids):
-        return None  # a trace_id reappears after another one
-    if not n:
-        return [], [], np.zeros(0, np.int64), np.zeros(0, np.int64)
-    return starts, heads, np.concatenate(time_blocks), np.concatenate(size_blocks)
+            if not len(block):
+                return
+            yield block
+            row += len(block)
+    with open(path, "r", encoding="utf-8", newline="") as reread:
+        rows = filter(None, csv.reader(reread))  # a blank line is an empty row
+        next(islice(rows, row + 1, row + 1), None)  # past the header and the rows parsed
+        while chunk := list(islice(rows, _CSV_BLOCK_ROWS)):
+            records = []
+            for fields in chunk:
+                try:
+                    records.append(_csv_record(fields))
+                except ValueError as exc:
+                    if records:
+                        yield np.array(records, _CSV_DTYPE)
+                    raise _RowError(str(exc), row + len(records)) from None
+            yield np.array(records, _CSV_DTYPE)
+            row += len(records)
 
 
-def _csv_flags(text: np.ndarray) -> np.ndarray | None:
-    """The monitored column as bools, one comparison per distinct spelling;
-    None if a spelling is not true or false."""
+def _csv_record(fields: list[str]) -> tuple:
+    """A csv.reader row as a record; ValueError names its first fault."""
+    if len(fields) != len(CSV_COLUMNS):
+        raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(fields)}")
+    tid, label, flag, ts, size = fields
+    return tid, label, flag, _parse_int(ts, "timestamp_us"), _parse_int(size, "signed_size")
+
+
+def _parse_int(value: str, column: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise ValueError(f"{column} must be an integer, got {value!r}") from None
+    if not _in_int64(number):
+        raise ValueError(f"{column} must fit in int64, got {value!r}")
+    return number
+
+
+def _read_csv(path) -> list[Trace]:
+    """The traces of a csv file: one checker over either parser's blocks."""
+    starts, tids, heads = [], [], []  # each trace's first row, trace_id, (label, monitored)
+    time_blocks, size_blocks = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    previous = (None, None, False)  # trace_id, label, monitored of the last row
+    n = 0  # the rows checked
+    with open(path, "r", encoding="utf-8", newline="") as fh, _fields_of_any_size():
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise DatasetFormatError("missing header row", 1)
+        if tuple(header) != CSV_COLUMNS:
+            unknown = sorted(set(header) - set(CSV_COLUMNS))
+            raise DatasetFormatError(f"unknown column(s): {', '.join(unknown)}" if unknown
+                                     else f"header must be exactly {','.join(CSV_COLUMNS)}", 1)
+        fault = None
+        try:
+            with contextlib.closing(_csv_blocks(fh, path)) as blocks:
+                for block in blocks:
+                    flags, spelled = _csv_flags(block["monitored"])
+                    block_tids, labels = block["trace_id"], block["label"]
+                    new = _changes(block_tids, previous[0])
+                    inner = _changes(labels, previous[1]) | _changes(flags, previous[2])
+                    faulty = ~spelled | (inner & ~new)
+                    end = int(faulty.argmax()) if faulty.any() else len(block)
+                    # copies: a field view pins the whole block, a kept str its strs' memory
+                    time_blocks.append(block["timestamp_us"][:end].copy())
+                    size_blocks.append(block["signed_size"][:end].copy())
+                    for i in np.flatnonzero(new[:end]).tolist():
+                        starts.append(n + i)
+                        tids.append(block_tids[i].encode().decode())
+                        heads.append((labels[i].encode().decode(), bool(flags[i])))
+                    n += end
+                    if end < len(block) and not spelled[end]:
+                        raise _RowError("monitored must be true/false, got "
+                                        f"{block['monitored'][end]!r}", n)
+                    if end < len(block):
+                        raise _RowError(f"trace {block_tids[end]!r} changes label or "
+                                        "monitored flag mid-group", n)
+                    previous = (block_tids[-1], labels[-1], flags[-1])
+        except _RowError as exc:
+            fault = exc
+        # every trace begun so far begins before the fault
+        if len(set(tids)) != len(tids):  # the first trace whose id an earlier one has
+            first: dict[str, int] = {}
+            t = next(i for i, tid in enumerate(tids) if first.setdefault(tid, i) != i)
+            fault = _RowError(f"trace_id {tids[t]!r} reappears after another trace_id; "
+                              "each trace's rows must be contiguous", starts[t])
+        # the rows before a fault are built first, so a fault on an earlier row is named
+        rows = n if fault is None else fault.row
+        k = bisect_left(starts, rows)
+        times, sizes = (np.concatenate(parts)[:rows] for parts in (time_blocks, size_blocks))
+        try:
+            traces = _traces_from_columns(starts[:k], heads[:k], times, sizes)
+        except _RowError as earlier:
+            fault = earlier
+        if fault is not None:
+            raise DatasetFormatError(str(fault), _csv_line(path, fault.row))
+    return traces
+
+
+def _csv_flags(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The monitored column as bools, one comparison per distinct spelling,
+    and where its spelling is true or false."""
     flags = text == "true"
-    for spelling in set(text[~flags & (text != "false")].tolist()):
+    spelled = flags | (text == "false")
+    for spelling in set(text[~spelled].tolist()):
         truth = _TRUTH.get(spelling.strip().lower())
-        if truth is None:
-            return None
-        flags[text == spelling] = truth
-    return flags
+        if truth is not None:
+            same = text == spelling
+            flags[same] = truth
+            spelled |= same
+    return flags, spelled
 
 
 def _changes(column: np.ndarray, previous) -> np.ndarray:
@@ -687,30 +676,18 @@ def _changes(column: np.ndarray, previous) -> np.ndarray:
     return column != before
 
 
-def _read_csv(path) -> list[Trace]:
-    with open(path, "r", encoding="utf-8", newline="") as fh, _fields_of_any_size():
+def _csv_line(path, row: int) -> int | None:
+    """The line on which the csv row after `row` rows past the header
+    begins; a blank line is not a row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError("missing header row", 1) from None
-        if tuple(header) != CSV_COLUMNS:
-            unknown = sorted(set(header) - set(CSV_COLUMNS))
-            if unknown:
-                raise DatasetFormatError(
-                    f"unknown column(s): {', '.join(unknown)}", 1
-                )
-            raise DatasetFormatError(
-                f"header must be exactly {','.join(CSV_COLUMNS)}", 1
-            )
-        columns = _csv_columns(fh)
-    if columns is None:  # the C reader refused a row: read the file with csv.reader
-        columns = _check_csv_rows(path)
-    try:
-        return _traces_from_columns(*columns)
-    except _TraceRuleError as exc:
-        _check_csv_rows(path)  # names the faulty line
-        raise DatasetFormatError(str(exc)) from None
+        begins, row = 1, row + 1  # the header is row 0
+        for fields in reader:
+            if fields and not row:
+                return begins
+            row -= bool(fields)
+            begins = reader.line_num + 1
+    return None
 
 
 def _flat_pairs(trace: Trace) -> tuple[int, ...]:

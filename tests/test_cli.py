@@ -203,6 +203,18 @@ def test_total_mb_is_capped_before_any_work(tmp_path, capsys, monkeypatch):
     assert at_cap.total_bytes == netsim.MAX_TOTAL_BYTES == 10_000 * 1_000_000
 
 
+def test_total_mb_cap_shrinks_with_loss(tmp_path, capsys):
+    # at loss 0.99, 10,000 MB once passed and asked for some 3.5e8 flights
+    # per transfer
+    out = tmp_path / "sweep.csv"
+    assert run(["overhead", "--protocol", "quic", "--periods", "10", "--reps", "1",
+                "--loss", "0.99", "--total-mb", "10000", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: total_mb must be at most 100 "
+        "(netsim.MAX_TOTAL_BYTES * (1 - loss)), got 10000.0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_replay_missing_manifest_exits_1(tmp_path):
     assert run(["replay", str(tmp_path / "nope.manifest.json")]) == 1
 

@@ -168,6 +168,40 @@ def test_transfer_size_is_capped(monkeypatch):
     assert result.bytes_transferred == netsim.MAX_TOTAL_BYTES
 
 
+def test_transfer_cap_shrinks_with_the_highest_loss_rate(monkeypatch):
+    # at loss 0.99 a 10,000 MB transfer once asked for some 3.5e8 flights
+    lossy = [PathModel(loss_rate=0.5), PathModel(loss_rate=0.99)]
+    cap = netsim.max_total_bytes(0.99)
+    assert cap == 100_000_000 and netsim.max_total_bytes(0.0) == netsim.MAX_TOTAL_BYTES
+    message = f"^total_bytes must be at most {cap} at loss rate 0.99, got {cap + 1}$"
+    with pytest.raises(ValueError, match=message):
+        simulate_transfer(lossy, QUIC, None, cap + 1)
+    with pytest.raises(ValueError, match=message):
+        sweep_frequencies(lossy, QUIC, [10_000], cap + 1, repetitions=1)
+    monkeypatch.setattr(netsim, "_run", lambda paths, sender, period, total, stream: (1, total))
+    assert simulate_transfer(lossy, QUIC, None, cap).bytes_transferred == cap
+
+
+def test_transfer_refuses_seeds_its_stream_would_fold():
+    # stream_rng folds seeds mod 2**63: 2**63 once gave seed 0's transfer
+    refusal = r"^seed must be in \[0, 9223372036854775808\), got"
+    for bad in (-1, 2**63, 2**64):
+        with pytest.raises(ValueError, match=refusal):
+            simulate_transfer(paths(loss=0.01), WG, 10_000, 100_000, seed=bad)
+    last = simulate_transfer(paths(loss=0.05), WG, 10_000, MB, seed=2**63 - 1)
+    assert last != simulate_transfer(paths(loss=0.05), WG, 10_000, MB, seed=0)
+
+
+def test_sweep_seeds_above_the_stream_range_fold_as_the_streams_do():
+    # (2**48 - 1) * 1_000_003 passes 2**63; the sweep hands simulate_transfer
+    # that id mod 2**63, the stream stream_rng reads for the unfolded id
+    seed = 2**48 - 1
+    rep_seed = netsim._rep_seed(seed, 1)
+    assert rep_seed == (seed * 1_000_003 + 1) % 2**63 < seed * 1_000_003
+    assert (netsim.stream_rng(rep_seed).random(4)
+            == netsim.stream_rng(seed * 1_000_003 + 1).random(4)).all()
+
+
 def test_sweep_refuses_seeds_its_streams_would_fold():
     # _rep_seed took seeds mod 2**48: 2**48 swept the bytes of seed 0
     for bad in (-1, 2**48, 2**48 + 7, 2**63):

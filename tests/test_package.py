@@ -1,5 +1,6 @@
-"""The package's public surface: every exported name exists, once, and no
-module or test file imports a name it never reads."""
+"""The package's public surface: every exported name exists, once, no
+module or test file imports a name it never reads, and every private
+module-level name of the package is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,50 @@ def test_unused_import_check_sees_reads_and_all():
         "os.getcwd()\n"
     )
     assert _unused_imports(source) == ["line 2: json", "line 3: Any"]
+
+
+def _private_names(source: str) -> set[str]:
+    """The ``_name``s a module defines at its top level, dunders aside."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _read_names(source: str) -> set[str]:
+    """The names a module reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    # a helper a refactor leaves behind is dead code
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    read = set().union(*map(_read_names, sources))
+    defined = set().union(*map(_private_names, sources))
+    assert sorted(defined - read) == []
+
+
+def test_private_name_check_sees_defs_and_reads():
+    source = (
+        "_LIMIT = 3\n"
+        "_a, (_b, c) = 1, (2, 3)\n"
+        "def _used(): return _LIMIT\n"
+        "def _orphan(): pass\n"
+        "class _Kind: pass\n"
+        "def __getattr__(name): pass\n"
+        "x = _used() + obj._b\n"
+    )
+    assert _private_names(source) == {"_LIMIT", "_a", "_b", "_used", "_orphan", "_Kind"}
+    assert _private_names(source) - _read_names(source) == {"_a", "_orphan", "_Kind"}

@@ -6,7 +6,6 @@ clock-shift invariance of the features."""
 import csv
 import io
 import json
-from itertools import groupby
 
 import numpy as np
 import pytest
@@ -136,18 +135,84 @@ def csv_bodies(draw):
     return "".join(line + end for line in lines)
 
 
-def csv_reader_traces(path) -> tuple[Trace, ...]:
-    """The traces of a csv file that passes the row check, read by csv.reader."""
+def reference_csv_load(path) -> tuple[Trace, ...] | str:
+    """A csv file's traces, or the message that refuses it, read row by row
+    with csv.reader and int() under the loaders' documented precedence.
+
+    The first fault of a row is taken in this order: the column count,
+    timestamp_us, signed_size, the monitored spelling, a label or flag
+    change inside a trace, a reappearing trace_id. Before it is named,
+    the rows before it are built as traces; the earliest row of their
+    faults wins (a span and a reserved label on a trace's first row, a
+    zero size on its own; on one row span, zero size, label).
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
+        reader = csv.reader(fh)
+        next(reader)
+        rows, begins = [], reader.line_num + 1
+        for fields in reader:
+            if fields:
+                rows.append((begins, fields))
+            begins = reader.line_num + 1
+    groups = []  # [trace_id, label, monitored, [(line, time, size), ...]]
+    fault = None
+    for line, fields in rows:
+        fault = row_fault(fields, groups)
+        if fault:
+            fault = (line, fault)
+            break
+        tid, label, flag, ts, size = fields
+        if not groups or groups[-1][0] != tid:
+            groups.append([tid, label, flag.strip().lower() == "true", []])
+        groups[-1][3].append((line, int(ts), int(size)))
+    for _, label, monitored, packets in groups:
+        first = packets[0][0]
+        times = [t for _, t, _ in packets]
+        faults = []
+        if max(times) - min(times) > INT64_MAX:
+            faults.append((first, 0, f"timestamps of trace {label!r} span more than "
+                                     "the int64 range"))
+        faults += [(line, 1, "zero-size packet; sizes must be non-zero")
+                   for line, _, size in packets if size == 0]
+        if (label == UNMONITORED_LABEL) == monitored:
+            faults.append((first, 2, f"monitored trace uses the reserved label {label!r}"
+                           if monitored else f"unmonitored trace labeled {label!r}; "
+                           f"expected {UNMONITORED_LABEL!r}"))
+        if faults:
+            line, _, message = min(faults)
+            fault = (line, message)
+            break
+    if fault:
+        return f"line {fault[0]}: {fault[1]}"
     traces = []
-    for _, group in groupby(filter(None, rows), key=lambda row: row[0]):
-        group = list(group)
-        _, label, flag = group[0][:3]
-        pairs = sorted(((int(row[3]), int(row[4])) for row in group), key=lambda p: p[0])
+    for _, label, monitored, packets in groups:
+        pairs = sorted(((t, s) for _, t, s in packets), key=lambda p: p[0])
         traces.append(Trace([t - pairs[0][0] for t, _ in pairs], [s for _, s in pairs],
-                            label, flag.strip().lower() == "true"))
+                            label, monitored))
     return tuple(traces)
+
+
+def row_fault(fields, groups) -> str | None:
+    """The first fault of one csv row after the rows that made groups."""
+    if len(fields) != 5:
+        return f"expected 5 columns, got {len(fields)}"
+    tid, label, flag, *numbers = fields
+    for column, text in zip(["timestamp_us", "signed_size"], numbers):
+        try:
+            value = int(text)
+        except ValueError:
+            return f"{column} must be an integer, got {text!r}"
+        if not INT64_MIN <= value <= INT64_MAX:
+            return f"{column} must fit in int64, got {text!r}"
+    if flag.strip().lower() not in ("true", "false"):
+        return f"monitored must be true/false, got {flag!r}"
+    if groups and groups[-1][0] == tid:
+        if (groups[-1][1], groups[-1][2]) != (label, flag.strip().lower() == "true"):
+            return f"trace {tid!r} changes label or monitored flag mid-group"
+    elif any(group[0] == tid for group in groups):
+        return (f"trace_id {tid!r} reappears after another trace_id; "
+                "each trace's rows must be contiguous")
+    return None
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, traces_module._CSV_BLOCK_ROWS])
@@ -155,12 +220,7 @@ def csv_reader_traces(path) -> tuple[Trace, ...]:
 def test_csv_loader_agrees_with_csv_reader(tmp_path_factory, block_rows, body):
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     path.write_text(",".join(CSV_COLUMNS) + "\n" + body, encoding="utf-8", newline="")
-    try:
-        traces_module._check_csv_rows(path)
-    except DatasetFormatError as exc:
-        expected = str(exc)
-    else:
-        expected = csv_reader_traces(path)
+    expected = reference_csv_load(path)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(traces_module, "_CSV_BLOCK_ROWS", block_rows)
         if isinstance(expected, str):

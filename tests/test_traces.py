@@ -325,33 +325,6 @@ def test_dataset_holds_traces_only():
     assert len({t.label for t in ds.traces if t.monitored}) == 2
 
 
-def test_csv_failure_the_row_check_misses_is_still_a_format_error(
-    tmp_path, monkeypatch
-):
-    # should the row re-read ever accept what the builder refused, the
-    # loader still fails with DatasetFormatError, without a line
-    accepted = tmp_path / "ok.csv"
-    write_records(accepted, "csv", [{"label": "class-000", "monitored": True,
-                                     "packets": [[0, 100]]}])
-    check = traces_module._check_csv_rows
-    monkeypatch.setattr(traces_module, "_check_csv_rows", lambda path: check(accepted))
-    f = tmp_path / "d.csv"
-    write_records(f, "csv", [{"label": "class-000", "monitored": True,
-                              "packets": [[0, 100], [5, 0]]}])
-    with pytest.raises(DatasetFormatError, match="^zero-size packet") as exc:
-        load_dataset(f, "csv")
-    assert exc.value.line is None
-    # the C reader refuses 1_0, so the row pass reads the file; columns it
-    # returned although the label breaks the rule still meet the builder
-    f.write_text("trace_id,label,monitored,timestamp_us,signed_size\n"
-                 f"0,{UNMONITORED_LABEL},true,1_0,1\n")
-    monkeypatch.setattr(traces_module, "_check_csv_rows", lambda path: (
-        [0], [(UNMONITORED_LABEL, True)], np.array([10]), np.array([1])))
-    with pytest.raises(DatasetFormatError, match="^monitored trace uses the reserved") as exc:
-        load_dataset(f, "csv")
-    assert exc.value.line is None
-
-
 def test_csv_rejects_trace_id_that_reappears(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text(
@@ -465,22 +438,57 @@ def test_ndjson_refuses_a_broken_trace_before_a_later_malformed_line(tmp_path):
         load_dataset(f, "ndjson")
 
 
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_loaders_name_the_earlier_of_two_faults(tmp_path, fmt):
+    f = tmp_path / f"d.{fmt}"
+    span = "timestamps of trace 'class-002' span"
+    line = 2 if fmt == "ndjson" else 4
+    # the span sits on trace 1's first row, before its zero size
+    write_records(f, fmt, [good_record(0), {"label": "class-002", "monitored": True,
+                                            "packets": [[-(2**62), 100], [2**63 - 1, 0]]}])
+    with pytest.raises(DatasetFormatError, match=f"^line {line}: {span}"):
+        load_dataset(f, fmt)
+    # a malformed record after a broken trace, in csv one that continues
+    # the trace: the trace is named
+    write_records(f, fmt, [good_record(0), RULE_BREAKS["span"][0]])
+    with f.open("a", encoding="utf-8") as fh:
+        fh.write("{oops\n" if fmt == "ndjson" else "1,class-002,true,x,1\n")
+    with pytest.raises(DatasetFormatError, match=f"^line {line}: {span}"):
+        load_dataset(f, fmt)
+
+
+def test_csv_line_is_where_the_row_begins(tmp_path):
+    # the writer quotes a label holding a newline, so each of trace 0's
+    # rows spans two lines; rows were once counted as lines
+    f = tmp_path / "d.csv"
+    traces = [mk_trace([(0, 1), (5, 2)], label="a\nb"), mk_trace([(0, 3)], label="c")]
+    save_dataset(Dataset.from_traces(traces), f, "csv")
+    text = f.read_text(encoding="utf-8")
+    assert text.endswith("1,c,true,0,3\n")
+    f.write_text(text[:-2] + "0\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="^line 6: zero-size packet") as exc:
+        load_dataset(f, "csv")
+    assert exc.value.line == 6
+
+
 def test_builder_takes_a_trace_s_rules_in_order():
-    # span, then zero size, then the reserved label; trace 3 has a zero size
+    # on one row: span, then zero size, then the reserved label; a zero
+    # size past the first row comes after the label; trace 3 has a zero size
     def build(middle_times, middle_sizes):
         times = np.array([0, 5, *middle_times, 0, 1], dtype=np.int64)
         sizes = np.array([1, 1, *middle_sizes, 0, 1], dtype=np.int64)
         heads = [("class-000", True), (UNMONITORED_LABEL, True), ("class-002", True)]
         return traces_module._traces_from_columns([0, 2, 4], heads, times, sizes)
 
-    for middle, text in [
-        (([-(2**62), 2**63 - 1], [0, 1]), "timestamps of trace 'unmonitored' span"),
-        (([0, 1], [0, 1]), "zero-size packet; sizes must be non-zero"),
-        (([0, 1], [1, 1]), "monitored trace uses the reserved label"),
+    for middle, text, row in [
+        (([-(2**62), 2**63 - 1], [0, 1]), "timestamps of trace 'unmonitored' span", 2),
+        (([0, 1], [0, 1]), "zero-size packet; sizes must be non-zero", 2),
+        (([0, 1], [1, 0]), "monitored trace uses the reserved label", 2),
+        (([0, 1], [1, 1]), "monitored trace uses the reserved label", 2),
     ]:
-        with pytest.raises(traces_module._TraceRuleError, match=f"^{text}") as exc:
+        with pytest.raises(traces_module._RowError, match=f"^{text}") as exc:
             build(*middle)
-        assert exc.value.index == 1
+        assert exc.value.row == row
 
 
 @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
@@ -532,9 +540,9 @@ def test_csv_load_memory_stays_near_the_loaded_columns(tmp_path):
 
 
 def test_csv_reader_pass_memory_stays_near_the_loaded_columns(tmp_path):
-    # a size spelled with an underscore, which only int() takes, sends the
-    # file through the csv.reader pass; its columns grow in place and peak
-    # at about 20 B per packet, Python int lists at about 88 B
+    # a size spelled with an underscore in the first row, which only int()
+    # takes, sends the whole file through csv.reader and int(); their
+    # blocks peak at about 37 B per packet, Python int lists at about 88 B
     assert csv_load_peak_per_packet(tmp_path, csv_reader_pass=True) < 64
 
 
@@ -545,9 +553,11 @@ def csv_load_peak_per_packet(tmp_path, csv_reader_pass):
     f = tmp_path / "d.csv"
     save_dataset(ds, f, "csv")
     if csv_reader_pass:
-        head, size = f.read_text(encoding="utf-8").rstrip("\n").rsplit(",", 1)
+        header, first, rest = f.read_text(encoding="utf-8").split("\n", 2)
+        head, size = first.rsplit(",", 1)
         digits = size.lstrip("-")
-        f.write_text(f"{head},{size[:-len(digits)]}0_{digits}\n", encoding="utf-8")
+        f.write_text(f"{header}\n{head},{size[:-len(digits)]}0_{digits}\n{rest}",
+                     encoding="utf-8")
     gc.collect()
     tracemalloc.start()
     try:
