@@ -6,7 +6,7 @@ and simulates the throughput cost of path switching for migration-capable
 protocols.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .traces import (
     Dataset,

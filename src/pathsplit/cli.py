@@ -28,8 +28,8 @@ from dataclasses import dataclass, fields
 from . import __version__
 from .config import Config, require
 from .netsim import (
-    SWEEP_SEED_LIMIT, PathModel, Protocol, SenderModel, max_total_bytes,
-    sweep_frequencies, sweep_to_csv,
+    PathModel, Protocol, SenderModel, max_total_bytes, sweep_frequencies,
+    sweep_to_csv,
 )
 from .scheduler import MAX_PATHS, SchedulerConfig, Strategy
 from .splitter import split_dataset
@@ -124,8 +124,8 @@ def _write_manifest(
 # manifest's config, their annotations the type rules (see config.py) and
 # its __post_init__ the rules on each value. A seed a runner passes on, its
 # own or its scheduler's, must not write the bytes of another seed:
-# rand.stream_rng folds seeds mod 2**63, and the overhead sweep takes
-# seeds below netsim.SWEEP_SEED_LIMIT = 2**48.
+# rand.stream_rng folds seeds mod 2**63, so every subcommand takes the
+# seeds below 2**63.
 _SEEDS = f"an integer in [0, {2**63})"
 
 
@@ -201,8 +201,7 @@ class OverheadConfig(Config):
 
     def __post_init__(self):
         super().__post_init__()
-        require(self, "seed", 0 <= self.seed < SWEEP_SEED_LIMIT,
-                f"an integer in [0, {SWEEP_SEED_LIMIT})")
+        require(self, "seed", 0 <= self.seed < 2**63, _SEEDS)
         require(self, "periods_ms", all(p >= 1 for p in self.periods_ms),
                 "finite periods of at least 1 ms")
         if not self.periods_ms:

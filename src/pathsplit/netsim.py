@@ -19,32 +19,30 @@ cyclically. Protocol behavior on a switch:
 simulate_transfer runs one transfer, unswitched when switch_period_us is
 None; a sweep's baseline is that unswitched run, once per repetition.
 
-A flight's losses are Binomial(packets, loss rate), drawn the way
-numpy's Generator.binomial draws them, and so the same under seed as one
-binomial call per flight. Each transfer reads one stream of uniforms,
-1024 at a time. Where numpy draws by inversion (Kachitvichyanukul &
-Schmeiser, CACM 1988; p <= 0.5 and n*p <= 30) the flight applies numpy's
-rule to that stream: no loss when u <= exp(n * log1p(-p)), which most
-lossy flights meet; otherwise numpy's search for the count. Elsewhere the
-generator is put back at the first unused uniform and Generator.binomial
-draws.
+Losses are drawn as geometric gaps from one stream of uniforms per
+transfer, read 1024 at a time. The active path holds a gap, log(1 - u) /
+log1p(-p) for a fresh uniform u: the packets it delivers before its next
+loss, which falls on packet floor(gap) + 1. A flight of n <= gap packets
+takes n off the gap; a longer flight loses one packet per gap it crosses
+and draws the next gap at once. A switch to a path with another loss rate
+draws a fresh gap, exact since losses are memoryless; a lossless path's
+gap is infinite.
 
-The flight loop recomputes nothing that depends only on the path and the
-window. Each transfer builds one tuple of constants per path, so a
-switch is one unpack, and a flight lasts one RTT exactly when its bytes
-are at most rtt * bandwidth // 10**6, so only longer flights divide. The
-next boundary is a deadline, (boundaries done + 1) * period, which a
-flight compares with the clock; the boundary count is divided out only
-once the clock passes it. Each path keeps numpy's zero-loss threshold
-exp(n * log1p(-p)) per window of n packets, so a lossy flight that loses
-nothing costs one uniform and one compare.
+The flight loop recomputes nothing that depends only on the path. Each
+transfer builds one tuple of constants per path, so a switch is one
+unpack, and a flight lasts one RTT exactly when its bytes are at most
+rtt * bandwidth // 10**6, so only longer flights divide. The next
+boundary is a deadline, (boundaries done + 1) * period, which a flight
+compares with the clock; the boundary count is divided out only once the
+clock passes it. A flight that loses nothing costs one compare.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import exp, inf, log1p, sqrt
+from itertools import count
+from math import inf, log, log1p
 from typing import Sequence
 
 import numpy as np
@@ -55,8 +53,6 @@ from .rand import stream_rng
 _STREAM_NETSIM = 401
 # losses are drawn from blocks of this many uniforms
 _UNIFORM_BLOCK = 1024
-# numpy draws a binomial by inversion when p <= 0.5 and n*p <= this
-_INVERSION_MAX_NP = 30.0
 # The largest lossless transfer a simulation takes, 10,000 MB; see
 # max_total_bytes for lossy paths. A transfer costs one loop pass per
 # flight. At 1% loss on a 50 ms, 10 Mbit/s path this size is 5.3e5
@@ -65,9 +61,6 @@ _INVERSION_MAX_NP = 30.0
 # (periods + 1) x repetitions transfers. An unbounded byte count, such as
 # 1e306, would run for longer than anyone waits.
 MAX_TOTAL_BYTES = 10_000 * 1_000_000
-# sweep seeds lie below this: _rep_seed folds seeds mod this, so a
-# larger seed would sweep the streams of a smaller one
-SWEEP_SEED_LIMIT = 2**48
 
 SWEEP_CSV_COLUMNS = (
     "period_us",
@@ -107,6 +100,9 @@ class SenderModel(Config):
         super().__post_init__()
         require(self, "initial_cwnd_packets", self.initial_cwnd_packets >= 1, ">= 1")
         require(self, "mss_bytes", self.mss_bytes >= 1, ">= 1")
+        require(self, "validation_cache",
+                not self.validation_cache or self.protocol is Protocol.QUIC_MIGRATION,
+                "False unless protocol is quic")
 
 
 @dataclass(frozen=True)
@@ -125,23 +121,6 @@ class SweepPoint:
     stddev: float
 
 
-def _inversion_tail(u: float, n: int, p: float, q: float, qn: float) -> int:
-    """Finish numpy's binomial inversion for a uniform u above qn (numpy's
-    q**n): the count, or 0 when the search passes numpy's bound, in which
-    case numpy restarts from the next uniform."""
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * sqrt(mean * q + 1)))
-    x = 0
-    px = qn
-    while u > px:
-        x += 1
-        if x > bound:
-            return 0
-        u -= px
-        px = ((n - x + 1) * p * px) / (x * q)
-    return x
-
-
 def _run(
     paths: Sequence[PathModel],
     sender: SenderModel,
@@ -151,23 +130,24 @@ def _run(
 ) -> tuple[int, int]:
     """Simulate one transfer; returns (elapsed microseconds, bytes acked)."""
     rng = stream_rng(*seed_stream)
-    bit_generator = rng.bit_generator
+    # the transfer's uniforms, one at a time from blocks of _UNIFORM_BLOCK
+    uniforms = (u for _ in count() for u in rng.random(_UNIFORM_BLOCK).tolist())
     mss = sender.mss_bytes
     initial_cwnd = float(sender.initial_cwnd_packets * mss)
     quic = sender.protocol is Protocol.QUIC_MIGRATION
     validation_cache = sender.validation_cache
     # per path: rtt, bandwidth, the largest flight that lasts one RTT
     # (rtt >= ceil(f * 10**6 / bw) exactly when f <= rtt * bw // 10**6),
-    # loss rate p, q = 1 - p, log q (numpy takes it as log1p(-p)), and a
-    # dict from packet count n to numpy's zero-loss threshold qn, or to
-    # None where numpy does not draw by inversion
+    # loss rate p and log1p(-p), the divisor of a gap
     constants = [
         (path.rtt_us, path.bandwidth_bytes_per_s,
          path.rtt_us * path.bandwidth_bytes_per_s // 1_000_000,
-         path.loss_rate, 1.0 - path.loss_rate, log1p(-path.loss_rate), {})
+         path.loss_rate, log1p(-path.loss_rate))
         for path in paths
     ]
-    rtt, bandwidth, one_rtt_bytes, p, q, log_q, qns = constants[0]
+    rtt, bandwidth, one_rtt_bytes, p, log_q = constants[0]
+    # the packets the active path delivers before its next loss
+    gap = log(1.0 - next(uniforms)) / log_q if p else inf
     # cwnd/ssthresh are the active path's congestion state; on a switch
     # QUIC resets them (one connection-wide state) and WireGuard parks them
     # in cwnds/ssthreshes and resumes the new path's own
@@ -176,11 +156,6 @@ def _run(
     cwnds = [initial_cwnd] * len(paths)
     ssthreshes = [inf] * len(paths)
     validated = {0}
-    # the uniforms of the current block, how many are used (all before the
-    # first block and after a hand-back), and the generator state before it
-    uniforms: list[float] = []
-    used = _UNIFORM_BLOCK
-    block_state = None
 
     t = acked = path_index = boundaries_done = 0
     # boundaries fall due once t // period > boundaries_done, that is once
@@ -195,7 +170,10 @@ def _run(
             path_index = (path_index + (due - boundaries_done)) % len(paths)
             boundaries_done = due
             next_switch = (due + 1) * switch_period_us
-            rtt, bandwidth, one_rtt_bytes, p, q, log_q, qns = constants[path_index]
+            last_p = p
+            rtt, bandwidth, one_rtt_bytes, p, log_q = constants[path_index]
+            if p != last_p:
+                gap = log(1.0 - next(uniforms)) / log_q if p else inf
             if quic:
                 if not (validation_cache and path_index in validated):
                     t += rtt  # path validation stall
@@ -212,48 +190,29 @@ def _run(
         if flight > total_bytes - acked:
             flight = total_bytes - acked
         n_packets = -(-flight // mss)
-        losses = 0
-        if p:
-            try:
-                qn = qns[n_packets]
-            except KeyError:
-                qn = qns[n_packets] = (
-                    exp(n_packets * log_q)
-                    if p <= 0.5 and n_packets * p <= _INVERSION_MAX_NP else None)
-            if qn is not None:
-                while True:
-                    if used == _UNIFORM_BLOCK:
-                        block_state = bit_generator.state
-                        uniforms = rng.random(_UNIFORM_BLOCK).tolist()
-                        used = 0
-                    u = uniforms[used]
-                    used += 1
-                    if u <= qn:
-                        break
-                    losses = _inversion_tail(u, n_packets, p, q, qn)
-                    if losses:
-                        break
-            else:
-                if used < _UNIFORM_BLOCK:
-                    # hand the generator back at the first unused uniform
-                    bit_generator.state = block_state
-                    rng.random(used)
-                    used = _UNIFORM_BLOCK
-                losses = int(rng.binomial(n_packets, p))
         t += rtt if flight <= one_rtt_bytes else -(-flight * 1_000_000 // bandwidth)
-        if losses:
+        if n_packets <= gap:
+            gap -= n_packets
+            acked += flight
+            if cwnd < ssthresh:
+                cwnd += flight
+            else:
+                cwnd += mss * mss * n_packets / cwnd
+        else:
+            # packet floor(gap) + 1 of those left is lost; at most n_packets
+            losses = 0
+            left = n_packets
+            while left > gap:
+                left -= int(gap) + 1
+                losses += 1
+                gap = log(1.0 - next(uniforms)) / log_q
+            gap -= left
             if flight > losses * mss:
                 acked += flight - losses * mss
             ssthresh = cwnd / 2.0
             if ssthresh < 2.0 * mss:
                 ssthresh = 2.0 * mss
             cwnd = ssthresh  # at least 2 MSS, so above the 1-MSS floor
-        else:
-            acked += flight
-            if cwnd < ssthresh:
-                cwnd += flight
-            else:
-                cwnd += mss * mss * n_packets / cwnd
     return t, acked
 
 
@@ -310,14 +269,19 @@ def sweep_frequencies(
     seed: int = 0,
 ) -> list[SweepPoint]:
     """Mean overhead per switching period over seeded repetitions; each
-    repetition's unswitched transfer is the baseline of every period."""
+    repetition's unswitched transfer is the baseline of every period.
+    seed lies in [0, 2**63); repetition r transfers on a seed drawn from
+    the stream (seed, r), whatever the repetition count."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if len(periods_us) == 0:
         raise ValueError("need at least one switching period")
-    if not 0 <= seed < SWEEP_SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, {SWEEP_SEED_LIMIT}), got {seed}")
-    seeds = [_rep_seed(seed, rep) for rep in range(repetitions)]
+    if min(periods_us) < 1:  # before any transfer runs
+        raise ValueError(f"switch_period_us must be >= 1, got {min(periods_us)}")
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"seed must be in [0, {2**63}), got {seed}")
+    seeds = [int(stream_rng(seed, _STREAM_NETSIM, rep).integers(2**63))
+             for rep in range(repetitions)]
     base = [simulate_transfer(paths, sender, None, total_bytes, s) for s in seeds]
     mean_base = float(np.mean([run.throughput_bytes_per_s for run in base]))
     points = []
@@ -344,9 +308,3 @@ def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
         )
     return "".join(line + "\n" for line in lines)
 
-
-def _rep_seed(seed: int, rep: int) -> int:
-    # fold (seed, repetition) into one stream id without collisions for
-    # any realistic repetition count; taken mod 2**63 as stream_rng takes
-    # it, so the id is a seed simulate_transfer takes and names the same stream
-    return ((int(seed) % SWEEP_SEED_LIMIT) * 1_000_003 + rep) % 2**63

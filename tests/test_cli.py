@@ -156,6 +156,21 @@ def test_validate_cache_requires_quic(tmp_path, capsys):
     assert "quic" in capsys.readouterr().err
 
 
+def test_overhead_takes_every_seed_below_2_63(tmp_path):
+    # overhead once refused seeds from 2**48, which its sweep folded
+    argv = ["overhead", "--protocol", "wireguard", "--loss", "0.05", "--periods", "10",
+            "--reps", "2", "--total-mb", "1"]
+    rows = []
+    for seed in (0, 2**48, 2**63 - 1):
+        out = tmp_path / f"{seed}.csv"
+        assert run([*argv, "--seed", str(seed), "-o", str(out)]) == 0
+        copy = tmp_path / f"{seed}-replay.csv"
+        assert run(["replay", f"{out}.manifest.json", "-o", str(copy)]) == 0
+        assert copy.read_bytes() == out.read_bytes()
+        rows.append(out.read_text())
+    assert len(set(rows)) == 3
+
+
 def test_replay_reproduces_artifacts_byte_identically(small_corpus, tmp_path):
     report = tmp_path / "rep.json"
     assert run(["evaluate", "-i", str(small_corpus), "--defense", "ur:2:25",
@@ -314,15 +329,9 @@ def _negative_seed(manifest):
     return manifest
 
 
-def _overhead_seed_2_48(manifest):
-    # netsim._rep_seed would fold 2**48 onto seed 0
-    manifest["subcommand"] = "overhead"
-    manifest["config"] = {
-        "protocol": "quic", "periods_ms": [10], "reps": 1, "paths": 2,
-        "rtt_ms": 50, "bandwidth_mbps": 10.0, "loss": 0.0, "total_mb": 0.1,
-        "validate_cache": False, "seed": 2**48, "output": "unused.csv",
-    }
-    return manifest
+def _overhead_seed_2_63(manifest):
+    # stream_rng would fold 2**63 onto seed 0
+    return _overhead(manifest, seed=2**63)
 
 
 def _scheduler_seed_2_63(manifest):
@@ -357,15 +366,11 @@ def _split_paths_over_cap(manifest):
 
 
 def _overhead_paths_over_cap(manifest):
-    manifest = _overhead_seed_2_48(manifest)
-    manifest["config"].update(seed=0, paths=1025)
-    return manifest
+    return _overhead(manifest, paths=1025)
 
 
 def _overhead_no_periods(manifest):
-    manifest = _overhead_seed_2_48(manifest)
-    manifest["config"].update(seed=0, periods_ms=[])
-    return manifest
+    return _overhead(manifest, periods_ms=[])
 
 
 def _evaluate(manifest, **changes):
@@ -382,8 +387,14 @@ def _evaluate(manifest, **changes):
 
 
 def _overhead(manifest, **changes):
-    manifest = _overhead_seed_2_48(manifest)
-    manifest["config"].update(seed=0, **changes)
+    """An overhead manifest of a small lossless sweep, its config changed
+    by changes."""
+    manifest["subcommand"] = "overhead"
+    manifest["config"] = {
+        "protocol": "quic", "periods_ms": [10], "reps": 1, "paths": 2,
+        "rtt_ms": 50, "bandwidth_mbps": 10.0, "loss": 0.0, "total_mb": 0.1,
+        "validate_cache": False, "seed": 0, "output": "unused.csv", **changes,
+    }
     return manifest
 
 
@@ -396,7 +407,7 @@ def _overhead(manifest, **changes):
     (lambda m: m["config"].update(classes=6.0) or m, "classes must be an integer, got 6.0"),
     (_string_path_count, "evaluate has a value of the wrong type"),
     (_negative_seed, "seed must be an integer in [0, 9223372036854775808), got -1"),
-    (_overhead_seed_2_48, "seed must be an integer in [0, 281474976710656)"),
+    (_overhead_seed_2_63, "seed must be an integer in [0, 9223372036854775808)"),
     (_scheduler_seed_2_63, "scheduler.seed must be an integer in [0, 9223372036854775808)"),
     (_scheduler_batch_2_63, "batch_packets must be at most 2**63 - 1"),
     (_split_window_2_63, "window_us must be at most 2**63 - 1"),
@@ -480,7 +491,7 @@ BAD_FLAG_VALUES = [
     ["overhead", "--periods", "10", "--total-mb", "1e300"],
     ["overhead", "--periods", "10", "--total-mb", "10000.000001"],  # one byte over
     ["overhead", "--periods", "10", "--bandwidth-mbps", "1e305"],
-    ["overhead", "--periods", "10", "--seed", str(2**48)],
+    ["overhead", "--periods", "10", "--seed", str(2**64)],
     ["split", "--strategy", "rr", "--boundary", "time", "--window-ms", "0"],
     ["split", "--strategy", "wr", "--alpha", "nan"],
     ["split", "--alpha", "nan", "--strategy", "rr"],

@@ -16,7 +16,7 @@ import pytest
 from pathsplit import __version__
 from pathsplit.cli import main
 
-GOLDEN_VERSION = "0.1.0"
+GOLDEN_VERSION = "0.2.0"
 
 # artifact -> CLI arguments that write it; run in this order
 FLOW = {
@@ -40,8 +40,8 @@ FLOW = {
                      "--seed", "2"],
     "overhead-quic.csv": ["overhead", "--protocol", "quic", "--periods", "10,100",
                           "--reps", "2", "--total-mb", "2", "--seed", "3"],
-    # lossy runs pin the binomial draw order, WireGuard's per-path state
-    # and QUIC's validation cache
+    # lossy runs pin the loss draws (geometric gaps in one uniform stream),
+    # WireGuard's per-path state and QUIC's validation cache
     "overhead-wireguard-lossy.csv": ["overhead", "--protocol", "wireguard",
                                      "--loss", "0.01", "--periods", "10,100",
                                      "--reps", "2", "--total-mb", "2",
@@ -51,8 +51,8 @@ FLOW = {
                                        "--loss", "0.01", "--periods", "10,50,100",
                                        "--reps", "2", "--total-mb", "2",
                                        "--seed", "3"],
-    # above 0.5 loss numpy does not invert, so every flight's draw is
-    # Generator.binomial's own
+    # the high-loss golden: at 0.6 loss most gaps are below one packet;
+    # its name is that of 0.1.0, which drew there by Generator.binomial
     "overhead-quic-lossy-binomial.csv": ["overhead", "--protocol", "quic",
                                          "--loss", "0.6", "--periods", "10,100",
                                          "--reps", "2", "--total-mb", "1",
@@ -79,11 +79,11 @@ GOLDEN_SHA256 = {
     "overhead-quic.csv":
         "1d1d2ea6a763f45acb82d3a0b206b835df1e2e0d0faa08a77fc3888085c87f05",
     "overhead-wireguard-lossy.csv":
-        "161837a74893359c3aa301a69fbd4d719b2ba8d86c69bc2136ddce1c4d12e44c",
+        "359608c50f4c30c500c66d99ade8c0e44b4e6f319eee68b1b927bdb382ecd794",
     "overhead-quic-cached-lossy.csv":
-        "c63d68317b24fdd21b5983783319c58de5df973b85292e03dd3b68614fa0a1b1",
+        "4da368beb9a396c235f16f413e4a332c1a60f25ce09787096410d5f6625c762a",
     "overhead-quic-lossy-binomial.csv":
-        "fdccef47a7440cd57323fe535cdbb3265ee501bf2274407dd294fc8753078ee7",
+        "9068d13289c3ef57e9d609e763019629ababaf6df314ce5fc15c41eb42bb095f",
 }
 
 
@@ -106,6 +106,6 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("artifact", list(FLOW))
 def test_artifact_bytes_match_golden(digests, artifact):
     assert __version__ == GOLDEN_VERSION, (
-        "artifact bytes are pinned for 0.1.0; record new goldens with the new version"
+        "artifact bytes are pinned for 0.2.0; record new goldens with the new version"
     )
     assert digests[artifact] == GOLDEN_SHA256[artifact]

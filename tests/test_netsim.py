@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathsplit import netsim
@@ -192,25 +192,48 @@ def test_transfer_refuses_seeds_its_stream_would_fold():
     assert last != simulate_transfer(paths(loss=0.05), WG, 10_000, MB, seed=0)
 
 
-def test_sweep_seeds_above_the_stream_range_fold_as_the_streams_do():
-    # (2**48 - 1) * 1_000_003 passes 2**63; the sweep hands simulate_transfer
-    # that id mod 2**63, the stream stream_rng reads for the unfolded id
-    seed = 2**48 - 1
-    rep_seed = netsim._rep_seed(seed, 1)
-    assert rep_seed == (seed * 1_000_003 + 1) % 2**63 < seed * 1_000_003
-    assert (netsim.stream_rng(rep_seed).random(4)
-            == netsim.stream_rng(seed * 1_000_003 + 1).random(4)).all()
+def test_sweep_takes_every_seed_of_the_stream_range():
+    # sweeps once folded seeds mod 2**48, so 2**48 swept the bytes of seed 0
+    def sweep(seed):
+        return sweep_frequencies(paths(loss=0.05), WG, [10_000], MB, repetitions=2,
+                                 seed=seed)
+    assert len({tuple(sweep(seed)) for seed in (0, 2**48, 2**63 - 1)}) == 3
 
 
 def test_sweep_refuses_seeds_its_streams_would_fold():
-    # _rep_seed took seeds mod 2**48: 2**48 swept the bytes of seed 0
-    for bad in (-1, 2**48, 2**48 + 7, 2**63):
-        with pytest.raises(ValueError, match=r"^seed must be in \[0, 281474976710656\), got"):
+    # stream_rng folds seeds mod 2**63: 2**63 would sweep the bytes of seed 0
+    for bad in (-1, 2**63, 2**64 + 7):
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 9223372036854775808\), got"):
             sweep_frequencies(paths(), WG, [10_000], 100_000, repetitions=1, seed=bad)
-    last = sweep_frequencies(paths(loss=0.01), WG, [10_000], 100_000, repetitions=2,
-                             seed=2**48 - 1)
-    first = sweep_frequencies(paths(loss=0.01), WG, [10_000], 100_000, repetitions=2, seed=0)
-    assert last != first
+
+
+def test_repetition_seeds_do_not_depend_on_the_repetition_count(monkeypatch):
+    # repetition r transfers on a seed drawn from the stream (seed, r)
+    calls = []
+    real_transfer = netsim.simulate_transfer
+
+    def recording_transfer(paths, sender, period, total_bytes, seed):
+        calls.append((period, seed))
+        return real_transfer(paths, sender, period, total_bytes, seed)
+
+    monkeypatch.setattr(netsim, "simulate_transfer", recording_transfer)
+    seeds = [int(netsim.stream_rng(5, netsim._STREAM_NETSIM, r).integers(2**63))
+             for r in range(3)]
+    assert len(set(seeds)) == 3
+    for repetitions in (1, 3):
+        calls.clear()
+        sweep_frequencies(paths(), WG, [10_000, 20_000], 100_000, repetitions, seed=5)
+        assert calls == [(period, seed) for period in (None, 10_000, 20_000)
+                         for seed in seeds[:repetitions]]
+
+
+def test_sweep_refuses_a_period_below_1us_before_any_transfer(monkeypatch):
+    runs = []
+    monkeypatch.setattr(netsim, "_run", lambda *args: runs.append(args) or (1, 1))
+    for periods in ([10_000, 0], [0], [-5, 10_000]):
+        with pytest.raises(ValueError, match=r"^switch_period_us must be >= 1, got -?\d"):
+            sweep_frequencies(paths(), QUIC, periods, MB, repetitions=3)
+    assert runs == []
 
 
 def test_sender_protocol_takes_its_value_string():
@@ -223,6 +246,14 @@ def test_sender_protocol_takes_its_value_string():
     for bad in (0, None, b"quic"):
         with pytest.raises(TypeError, match="^protocol must be one of"):
             SenderModel(protocol=bad)
+
+
+def test_wireguard_sender_refuses_validation_caching():
+    # it once simulated plain WireGuard, a cache no WireGuard sender keeps
+    with pytest.raises(ValueError, match="^validation_cache must be False unless protocol "
+                                         "is quic, got True$"):
+        SenderModel(Protocol.WIREGUARD_ROAMING, validation_cache=True)
+    assert SenderModel("wireguard", validation_cache=False) == WG
 
 
 @pytest.mark.parametrize("build, message", [
@@ -279,12 +310,17 @@ def test_unswitched_run_depends_only_on_first_path(models, total_bytes, seed):
         assert (result.elapsed_us, result.bytes_transferred) == expected
 
 
-# --- losses: numpy's binomial inversion over one buffered uniform stream
+# --- losses: Bernoulli per packet, as geometric gaps in one uniform stream
 
 
 def _reference_run(paths, sender, switch_period_us, total_bytes, rng):
-    """_run as one Generator.binomial call per lossy flight: (elapsed us,
-    bytes acked, binomial calls)."""
+    """_run packet by packet: a packet survives while the gap is at least
+    1, taking 1 off it, and is otherwise lost, the next gap drawn from rng
+    at once. Returns (elapsed us, bytes acked, [(packets, losses) per
+    flight])."""
+    def fresh_gap(p):
+        return math.log(1.0 - rng.random()) / math.log1p(-p) if p else math.inf
+
     mss = sender.mss_bytes
     initial_cwnd = float(sender.initial_cwnd_packets * mss)
     quic = sender.protocol is Protocol.QUIC_MIGRATION
@@ -295,7 +331,9 @@ def _reference_run(paths, sender, switch_period_us, total_bytes, rng):
     ssthreshes = [math.inf] * len(paths)
     validated = {0}
     path = paths[0]
-    t = acked = path_index = boundaries_done = draws = 0
+    gap = fresh_gap(path.loss_rate)
+    flights = []
+    t = acked = path_index = boundaries_done = 0
     while acked < total_bytes:
         if switching and t // switch_period_us > boundaries_done:
             due = t // switch_period_us
@@ -304,6 +342,8 @@ def _reference_run(paths, sender, switch_period_us, total_bytes, rng):
                 ssthreshes[path_index] = ssthresh
             path_index = (path_index + (due - boundaries_done)) % len(paths)
             boundaries_done = due
+            if paths[path_index].loss_rate != path.loss_rate:
+                gap = fresh_gap(paths[path_index].loss_rate)
             path = paths[path_index]
             if quic:
                 if not (sender.validation_cache and path_index in validated):
@@ -317,9 +357,13 @@ def _reference_run(paths, sender, switch_period_us, total_bytes, rng):
         flight = min(int(cwnd), total_bytes - acked)
         n_packets = -(-flight // mss)
         losses = 0
-        if path.loss_rate:
-            losses = int(rng.binomial(n_packets, path.loss_rate))
-            draws += 1
+        for _ in range(n_packets):
+            if gap >= 1:
+                gap -= 1
+            else:
+                losses += 1
+                gap = fresh_gap(path.loss_rate)
+        flights.append((n_packets, losses))
         delivered = max(flight - losses * mss, 0)
         t += max(path.rtt_us, -(-flight * 1_000_000 // path.bandwidth_bytes_per_s))
         acked += delivered
@@ -330,37 +374,7 @@ def _reference_run(paths, sender, switch_period_us, total_bytes, rng):
             cwnd += delivered
         else:
             cwnd += mss * mss * n_packets / cwnd
-    return t, acked, draws
-
-
-def _invert(rng, n, p):
-    """One binomial(n, p) draw by numpy's inversion, as _run makes it."""
-    q = 1.0 - p
-    qn = math.exp(n * math.log1p(-p))
-    while True:
-        u = rng.random()
-        if u <= qn:
-            return 0
-        x = netsim._inversion_tail(u, n, p, q, qn)
-        if x:
-            return x
-
-
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-U_MAX = 1.0 - 2.0**-53  # the largest uniform Generator.random returns
-
-
-def _rng_about_to_draw(u, seed=0):
-    """A PCG64 Generator whose next uniform is u, a multiple of 2**-53.
-    PCG64 steps its 128-bit state, then outputs the xor of the state's
-    halves rotated by its top 6 bits; a state below 2**58 outputs itself."""
-    rng = np.random.default_rng(seed)
-    state = rng.bit_generator.state
-    output = int(u * 2.0**53) << 11
-    inverse = pow(_PCG64_MULTIPLIER, -1, 2**128)
-    state["state"]["state"] = (output - state["state"]["inc"]) * inverse % 2**128
-    rng.bit_generator.state = state
-    return rng
+    return t, acked, flights
 
 
 @st.composite
@@ -375,11 +389,13 @@ def transfers(draw):
                   loss_rate=loss)
         for loss in losses
     ]
+    protocol = draw(st.sampled_from(Protocol))
     sender = SenderModel(
-        protocol=draw(st.sampled_from(Protocol)),
+        protocol=protocol,
         initial_cwnd_packets=draw(st.integers(1, 4000)),
         mss_bytes=draw(st.integers(1, 1500)),
-        validation_cache=draw(st.booleans()),
+        # only a QUIC sender caches validated paths
+        validation_cache=protocol is Protocol.QUIC_MIGRATION and draw(st.booleans()),
     )
     period = draw(st.none() | st.integers(1, 300_000))
     most = max(1, int(20_000 * (1.0 - max(losses)) ** 2))
@@ -399,11 +415,11 @@ ONE_RTT_1500 = PathModel(rtt_us=150_050, bandwidth_bytes_per_s=10_000, loss_rate
 
 
 @given(transfer=transfers(), seed=st.integers(0, 2**40))
-# QUIC restarts at 4,000 packets on every switch: n*p = 800 > 30 on the
-# 20%-loss path, mid-block
+# QUIC restarts at 4,000 packets on every switch: a flight on the 20%-loss
+# path crosses some 800 gaps, mid-block
 @example(transfer=(LOSSY, SenderModel(Protocol.QUIC_MIGRATION, initial_cwnd_packets=4000),
                    60_000, 30 * MB), seed=0)
-# p > 0.5 on one path: every flight there hands the generator back
+# loss 0.7 on one path: most gaps there are below 1 packet
 @example(transfer=(LOSSY[:1] + [PathModel(loss_rate=0.7)], WG, 50_000, 5 * MB), seed=1)
 # QUIC restarts every flight at 1501 bytes, one above the one-RTT size,
 # and the last flight carries exactly that size, 1500 bytes
@@ -413,88 +429,57 @@ ONE_RTT_1500 = PathModel(rtt_us=150_050, bandwidth_bytes_per_s=10_000, loss_rate
 # a 1 us period: thousands of boundaries, many times the path count, pass
 # inside each flight
 @example(transfer=(UNLIKE, WG, 1, 2 * MB), seed=3)
-# a lossless path between lossy ones draws nothing
+# a lossless path between lossy ones draws nothing, and the lossy path
+# after it draws a fresh gap
 @example(transfer=([UNLIKE[0], PathModel(rtt_us=20_003, bandwidth_bytes_per_s=1_000_001),
                     UNLIKE[1]], WG, 15_000, 2 * MB), seed=4)
 # every switch restarts QUIC at 10 packets, whatever the path's loss rate
 @example(transfer=(UNLIKE, QUIC_CACHED, 20_000, 2 * MB), seed=5)
 @settings(max_examples=300)
-def test_run_draws_what_one_binomial_per_flight_draws(transfer, seed):
+def test_run_loses_what_the_packet_by_packet_oracle_loses(transfer, seed):
     paths_, sender, period, total_bytes = transfer
     stream = (seed, netsim._STREAM_NETSIM)
     expected = _reference_run(paths_, sender, period, total_bytes, netsim.stream_rng(*stream))
     assert netsim._run(paths_, sender, period, total_bytes, stream) == expected[:2]
 
 
-@pytest.mark.parametrize("n, p", [
-    (60, 0.5), (61, 0.5),  # n*p = 30 is inversion, 30.5 is not
-    (3000, 0.01), (3001, 0.01),
-    (10, math.nextafter(0.5, 1.0)),  # p just above 0.5: never inversion
-])
-def test_run_draws_what_binomial_draws_at_the_inversion_edges(n, p):
-    # the first flight is n packets on a path of loss p
-    lossy = [PathModel(rtt_us=RTT, bandwidth_bytes_per_s=BW, loss_rate=p),
-             PathModel(rtt_us=RTT, bandwidth_bytes_per_s=BW, loss_rate=0.01)]
-    sender = SenderModel(Protocol.QUIC_MIGRATION, initial_cwnd_packets=n)
-    for seed in range(5):
-        stream = (seed, netsim._STREAM_NETSIM)
-        expected = _reference_run(lossy, sender, 40_000, 5 * MB, netsim.stream_rng(*stream))
-        assert netsim._run(lossy, sender, 40_000, 5 * MB, stream) == expected[:2]
-
-
 def test_long_lossy_transfer_spans_several_blocks():
     sender = SenderModel(Protocol.QUIC_MIGRATION, mss_bytes=100, validation_cache=True)
     stream = (4, netsim._STREAM_NETSIM)
-    t, acked, draws = _reference_run(LOSSY, sender, 70_000, 5 * MB, netsim.stream_rng(*stream))
-    assert draws > 4 * netsim._UNIFORM_BLOCK
+    t, acked, flights = _reference_run(LOSSY, sender, 70_000, 5 * MB,
+                                       netsim.stream_rng(*stream))
+    assert sum(losses for _, losses in flights) > 4 * netsim._UNIFORM_BLOCK  # a draw each
     assert netsim._run(LOSSY, sender, 70_000, 5 * MB, stream) == (t, acked)
 
 
-@given(n=st.integers(1, 4000), p=st.floats(0.0, 0.5), seed=st.integers(0, 2**32))
-@example(n=60, p=0.5, seed=0)  # both edges: p = 0.5 and n*p = 30
-@example(n=1, p=0.5, seed=1)
-@example(n=3000, p=0.01, seed=2)  # n*p == 30.0 in floating point
-@example(n=1500, p=0.02, seed=3)
-@example(n=4000, p=5e-324, seed=4)
-def test_inversion_draws_what_generator_binomial_draws(n, p, seed):
-    assume(p > 0.0 and n * p <= netsim._INVERSION_MAX_NP)
-    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert [_invert(ours, n, p) for _ in range(20)] == [
-        int(numpys.binomial(n, p)) for _ in range(20)
-    ]
-    assert ours.bit_generator.state == numpys.bit_generator.state
+@pytest.mark.parametrize("n, p", [(13, 0.01), (10, 0.2), (100, 0.05), (3, 0.7), (40, 0.6)])
+def test_flight_losses_are_binomial(n, p):
+    # QUIC restarts at n packets on every 1 us switch between two paths of
+    # loss p, so every flight but the last few is n packets, and the gap
+    # runs on across the switches
+    sender = SenderModel(Protocol.QUIC_MIGRATION, initial_cwnd_packets=n)
+    lossy = paths(2, p)
+    total = int(4000 * n * (1 - p)) * sender.mss_bytes
+    stream = (6, netsim._STREAM_NETSIM)
+    t, acked, flights = _reference_run(lossy, sender, 1, total, netsim.stream_rng(*stream))
+    assert netsim._run(lossy, sender, 1, total, stream) == (t, acked)
+    assert max(losses for _, losses in flights) <= n
+    counts = np.array([losses for packets, losses in flights if packets == n])
+    assert len(counts) > 3900
+    # within 4 standard errors of Binomial(n, p)'s mean, P(0) and variance
+    q, m = 1 - p, len(counts)
+    var = n * p * q
+    fourth = var * (1 + 3 * p * q * (n - 2))  # the fourth central moment
+    assert abs(counts.mean() - n * p) < 4 * math.sqrt(var / m)
+    assert abs((counts == 0).mean() - q**n) < 4 * math.sqrt(q**n * (1 - q**n) / m) + 1e-9
+    assert abs(counts.var() - var) < 4 * math.sqrt((fourth - var**2) / m)
 
 
-@pytest.mark.parametrize("n, p", [(1, 0.3), (2, 0.19190644748173094), (10, 0.01),
-                                  (40, 0.0123), (300, 0.002)])
-def test_inversion_takes_numpys_zero_loss_threshold(monkeypatch, n, p):
-    # numpy compares the uniform with exp(n * log1p(-p)); for each of these
-    # (n, p), exp(n * log(1 - p)) is another float
-    qn = math.exp(n * math.log1p(-p))
-    assert qn >= 0.5  # so qn and its neighbours are uniforms Generator.random returns
-    assert _rng_about_to_draw(qn).binomial(n, p) == 0
-    assert _rng_about_to_draw(math.nextafter(qn, 1.0)).binomial(n, p) > 0
-    # a transfer whose first flight of n packets draws u
-    lossy = [PathModel(rtt_us=RTT, bandwidth_bytes_per_s=BW, loss_rate=p)]
-    sender = SenderModel(Protocol.WIREGUARD_ROAMING, initial_cwnd_packets=n)
-    for u in (qn, math.nextafter(qn, 1.0)):
-        assert _invert(_rng_about_to_draw(u), n, p) == _rng_about_to_draw(u).binomial(n, p)
-        expected = _reference_run(lossy, sender, None, 2 * MB, _rng_about_to_draw(u))
-        monkeypatch.setattr(netsim, "stream_rng", lambda *stream: _rng_about_to_draw(u))
-        assert netsim._run(lossy, sender, None, 2 * MB, (0, 0)) == expected[:2]
-
-
-def test_inversion_restarts_past_numpys_bound_as_numpy_does(monkeypatch):
-    # at U_MAX the search runs past numpy's bound: numpy draws again
-    n, p = 10, 0.1
-    q = 1.0 - p
-    qn = math.exp(n * math.log1p(-p))
-    assert netsim._inversion_tail(U_MAX, n, p, q, qn) == 0
-    ours, numpys = _rng_about_to_draw(U_MAX), _rng_about_to_draw(U_MAX)
-    assert _invert(ours, n, p) == numpys.binomial(n, p)
-    assert ours.bit_generator.state == numpys.bit_generator.state
-    # a transfer whose first flight of 10 packets draws U_MAX
-    lossy = [PathModel(rtt_us=RTT, bandwidth_bytes_per_s=BW, loss_rate=p)] * 2
-    expected = _reference_run(lossy, QUIC, RTT, MB, _rng_about_to_draw(U_MAX, seed=7))
-    monkeypatch.setattr(netsim, "stream_rng", lambda *stream: _rng_about_to_draw(U_MAX, seed=7))
-    assert netsim._run(lossy, QUIC, RTT, MB, (0, netsim._STREAM_NETSIM)) == expected[:2]
+@pytest.mark.parametrize("loss", [0.005, 0.01, 0.02])
+def test_unswitched_throughput_tracks_mathis(loss):
+    # Mathis et al. (CCR 1997): a Reno flow that loses a fraction p of its
+    # packets moves MSS / RTT * sqrt(3/2) / sqrt(p) bytes per second
+    mathis = 1500 / (RTT / 1e6) * math.sqrt(1.5) / math.sqrt(loss)
+    runs = [simulate_transfer(paths(1, loss), WG, None, 20 * MB, seed) for seed in range(8)]
+    mean = float(np.mean([run.throughput_bytes_per_s for run in runs]))
+    assert mean == pytest.approx(mathis, rel=0.15)
