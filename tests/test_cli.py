@@ -2,9 +2,13 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pathsplit
 from pathsplit import __version__, cli, netsim
 from pathsplit.cli import main
 from pathsplit.traces import load_dataset
@@ -601,3 +605,24 @@ def test_replay_refuses_a_config_no_flag_builds(tmp_path, capsys, monkeypatch,
                                                 argv, change, message):
     config = _flag_config(monkeypatch, _flag_argv(argv, tmp_path))
     _assert_replay_refuses(tmp_path, capsys, argv[0], {**config, **change}, message)
+
+
+@pytest.mark.parametrize("defense", ["none", "wr:3:50"])
+def test_evaluate_never_imports_numpy_ma(small_corpus, tmp_path, defense):
+    """np.quantile imports numpy.ma (about 15 ms of a fresh process);
+    the tau gate takes its quantile without it."""
+    child = (
+        "import sys\n"
+        "from pathsplit.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(pathsplit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", child, "evaluate", "-i", str(small_corpus),
+         "--defense", defense, "-o", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "False"

@@ -259,7 +259,7 @@ KNN_CASES = dict(
 )
 
 
-@given(**KNN_CASES, block_rows=st.sampled_from([1, 7, 256]))
+@given(**KNN_CASES, block_rows=st.sampled_from([1, 7, wf_eval._BLOCK_ROWS, 256]))
 @example(k=1, extra=1, distinct=2, jitter=0.0, offset=0.0, seed=0, block_rows=256)
 @example(k=3, extra=1, distinct=4, jitter=1e-3, offset=0.0, seed=1, block_rows=1)
 @example(k=3, extra=40, distinct=2, jitter=0.0, offset=0.0, seed=2, block_rows=7)
@@ -279,7 +279,7 @@ def test_training_kth_distances_equal_the_dense_oracle(
     training=st.booleans(),
     n_queries=st.integers(1, 20),
     query_jitter=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
-    block_rows=st.sampled_from([1, 7, 256]),
+    block_rows=st.sampled_from([1, 7, wf_eval._BLOCK_ROWS, 256]),
 )
 @example(k=1, extra=1, distinct=1, jitter=0.0, offset=0.0, seed=0, training=True,
          n_queries=1, query_jitter=0.0, block_rows=256)  # m = k + 1, all equal
@@ -391,8 +391,34 @@ def test_training_memory_stays_within_row_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(model.exemplars) == 1979  # one m x m float64 array is 31 MB
-    assert peak <= 25e6
+    # float64 throughout: the features (2,144 x 49, 0.84 MB) and the
+    # exemplars (1,979 x 49, 0.78 MB) live together while training
+    # standardizes, and the screen reuses one _BLOCK_ROWS x m buffer
+    # (64 x 1,979, 1.01 MB); 2.6 MB in all, bounded with 1.5x room for
+    # the candidates and outputs. At 256 rows the buffer alone is 4.1 MB.
+    assert (len(train), len(model.exemplars), wf_eval._BLOCK_ROWS) == (2144, 1979, 64)
+    assert peak <= 4e6  # one m x m float64 array is 31 MB
+
+
+@given(
+    values=st.lists(
+        st.one_of(st.floats(1e-3, 1e6), st.sampled_from([0.0, 1e-3, 0.5, 1.0, 1e6])),
+        min_size=1, max_size=50,
+    ),
+    equal=st.booleans(),
+    q=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 0.95, 1.0])),
+)
+@example(values=[2.5], equal=False, q=0.95)  # n = 1
+@example(values=[3.0, 1.0, 2.0], equal=False, q=1.0)
+@example(values=[0.003, 0.01], equal=False, q=0.95)  # x + d * g rounds otherwise
+@example(values=[3.29, 0.01, 0.58, 2.56], equal=False, q=0.5)  # g = 0.5 takes y's side
+@example(values=[0.1, 0.7, 0.2, 1e5, 0.3], equal=False, q=0.375)  # g = 0.5 exactly
+@example(values=[7.0, 7.0, 7.0, 7.0], equal=True, q=0.95)
+@example(values=[1.0, 1.0, 2.0, 2.0, 2.0, 3.0], equal=False, q=0.3)  # ties
+def test_tau_quantile_equals_numpy_bitwise(values, equal, q):
+    a = np.array([values[0]] * len(values) if equal else values)
+    expected = float(np.quantile(a, q))
+    assert np.float64(wf_eval._quantile(a, q)).tobytes() == np.float64(expected).tobytes()
 
 
 # --- metrics
