@@ -6,14 +6,15 @@ resolved configuration, seed, inputs/outputs, tool version, and wall-clock
 duration. `replay <manifest>` re-runs the recorded command; artifacts are
 deterministic, so a replay reproduces the artifact byte for byte.
 
-Flags become the same config dict a manifest records, and _resolve
-builds the subcommand's typed config from it (GenerateConfig, SplitConfig,
-EvaluateConfig or OverheadConfig): a command and the replay of its
-manifest refuse the same values, before any load, run or write.
+Flags become the same config dict a manifest records, and the
+subcommand's typed config (GenerateConfig, SplitConfig, EvaluateConfig or
+OverheadConfig) is built from it by from_dict, which checks every rule,
+the ones spanning fields too: a command and the replay of its manifest
+refuse the same values, before any load, run or write.
 
 Exit codes: 0 success, 1 runtime error (I/O, malformed data, a manifest
-config _resolve refuses), 2 usage error (bad flags or flag combinations,
-a flag value _resolve refuses).
+config its config class refuses), 2 usage error (bad flags or flag
+combinations, a flag value the config class refuses).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .netsim import (
     PathModel, Protocol, SenderModel, max_total_bytes, sweep_frequencies,
     sweep_to_csv,
 )
+from .rand import SEED_LIMIT, SEED_RULE
 from .scheduler import MAX_PATHS, SchedulerConfig, Strategy
 from .splitter import split_dataset
 from .traces import (
@@ -77,7 +79,7 @@ def _parse_defense(spec: str, alpha: float, seed: int) -> dict | None:
     except ValueError:
         raise ValueError(f"path count {paths_s!r} is not an integer") from None
     # the fields the spec leaves out keep SchedulerConfig's defaults
-    scheduler = {f.name: f.default for f in fields(SchedulerConfig)}
+    scheduler = SchedulerConfig().to_dict()
     scheduler.update(n_paths=n_paths, strategy=name, boundary="packets",
                      seed=seed, dirichlet_alpha=alpha)
     try:
@@ -122,11 +124,9 @@ def _write_manifest(
 
 # --- one typed config per subcommand: its fields are the keys of the
 # manifest's config, their annotations the type rules (see config.py) and
-# its __post_init__ the rules on each value. A seed a runner passes on, its
-# own or its scheduler's, must not write the bytes of another seed:
-# rand.stream_rng folds seeds mod 2**63, so every subcommand takes the
-# seeds below 2**63.
-_SEEDS = f"an integer in [0, {2**63})"
+# its __post_init__ the rules on its values, alone and together. A seed
+# is checked against rand's range here, before any load, run or write;
+# a scheduler checks its own.
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class GenerateConfig(Config):
 
     def __post_init__(self):
         super().__post_init__()
-        require(self, "seed", 0 <= self.seed < 2**63, _SEEDS)
+        require(self, "seed", 0 <= self.seed < SEED_LIMIT, SEED_RULE)
         require(self, "classes", self.classes >= 1, ">= 1")
         require(self, "per_class", self.per_class >= 1, ">= 1")
         require(self, "unmonitored", self.unmonitored >= 0, ">= 0")
@@ -157,7 +157,6 @@ class SplitConfig(Config):
 
     def __post_init__(self):
         super().__post_init__()
-        require(self, "scheduler.seed", 0 <= self.scheduler.seed < 2**63, _SEEDS)
         require(self, "input_format", self.input_format in FORMATS, f"one of {FORMATS}")
         require(self, "format", self.format in FORMATS, f"one of {FORMATS}")
 
@@ -176,13 +175,18 @@ class EvaluateConfig(Config):
 
     def __post_init__(self):
         super().__post_init__()
-        require(self, "seed", 0 <= self.seed < 2**63, _SEEDS)
-        if self.scheduler is not None:
-            require(self, "scheduler.seed", 0 <= self.scheduler.seed < 2**63, _SEEDS)
+        require(self, "seed", 0 <= self.seed < SEED_LIMIT, SEED_RULE)
         require(self, "input_format", self.input_format in FORMATS, f"one of {FORMATS}")
         require(self, "k", self.k >= 1, ">= 1")
         require(self, "threshold_quantile", 0 < self.threshold_quantile <= 1, "in (0, 1]")
         require(self, "r", 0 < self.r < math.inf, "finite and positive")  # refuses NaN
+        # the spec leaves the Dirichlet alpha and the seed to the scheduler
+        scheduler = self.scheduler or SchedulerConfig()
+        parsed = _parse_defense(self.defense, scheduler.dirichlet_alpha, scheduler.seed)
+        if (None if parsed is None else SchedulerConfig.from_dict(parsed)) != self.scheduler:
+            raise ValueError(
+                f"defense {self.defense!r} does not describe the config's scheduler"
+            )
 
 
 @dataclass(frozen=True)
@@ -201,7 +205,7 @@ class OverheadConfig(Config):
 
     def __post_init__(self):
         super().__post_init__()
-        require(self, "seed", 0 <= self.seed < 2**63, _SEEDS)
+        require(self, "seed", 0 <= self.seed < SEED_LIMIT, SEED_RULE)
         require(self, "periods_ms", all(p >= 1 for p in self.periods_ms),
                 "finite periods of at least 1 ms")
         if not self.periods_ms:
@@ -226,6 +230,11 @@ class OverheadConfig(Config):
             raise ValueError(
                 "bandwidth_mbps must be at least one byte per second (0.000008 Mbit/s)"
             )
+        if self.validate_cache and self.protocol is not Protocol.QUIC_MIGRATION:
+            raise ValueError("validate_cache is only valid with protocol quic")
+        mss = SenderModel.mss_bytes
+        if self.total_bytes < mss:
+            raise ValueError(f"total_mb must be at least one MSS ({mss} bytes)")
 
     @property
     def bandwidth_bytes_per_s(self) -> int:
@@ -236,8 +245,8 @@ class OverheadConfig(Config):
         return int(self.total_mb * 1_000_000)
 
 
-# --- runners take a config that _resolve built, so `replay` can re-invoke
-# them from a manifest verbatim
+# --- runners take a checked config, so `replay` can re-invoke them from a
+# manifest verbatim
 
 
 def run_generate(config: GenerateConfig) -> None:
@@ -317,37 +326,12 @@ _RUNNERS = {
 }
 
 
-def _resolve(subcommand: str, config: dict) -> Config:
-    """The subcommand's typed config of a config dict, once the rules that
-    span its fields hold too.
-
-    A command's flags and a replayed manifest come here alike, before any
-    load, run or write. A refused value raises ValueError; a value of the
-    wrong type raises TypeError.
-    """
-    built = _RUNNERS[subcommand][0].from_dict(config)
-    if subcommand == "evaluate":
-        # the spec leaves the Dirichlet alpha and the seed to the scheduler
-        scheduler = built.scheduler
-        alpha, seed = (1.0, 0) if scheduler is None else (
-            scheduler.dirichlet_alpha, scheduler.seed)
-        parsed = _parse_defense(built.defense, alpha, seed)
-        if (None if parsed is None else SchedulerConfig.from_dict(parsed)) != scheduler:
-            raise ValueError(
-                f"defense {built.defense!r} does not describe the config's scheduler"
-            )
-    elif subcommand == "overhead":
-        if built.validate_cache and built.protocol is not Protocol.QUIC_MIGRATION:
-            raise ValueError("validate_cache is only valid with protocol quic")
-        mss = SenderModel.mss_bytes
-        if built.total_bytes < mss:
-            raise ValueError(f"total_mb must be at least one MSS ({mss} bytes)")
-    return built
-
-
 def run_replay(manifest_path: str, output_override: str | None) -> None:
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"manifest {manifest_path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ValueError("manifest is not a JSON object")
     subcommand = manifest.get("subcommand")
@@ -365,8 +349,9 @@ def run_replay(manifest_path: str, output_override: str | None) -> None:
     config = dict(config)
     if output_override:
         config["output"] = output_override
+    config_class, runner = _RUNNERS[subcommand]
     try:
-        _RUNNERS[subcommand][1](_resolve(subcommand, config))
+        runner(config_class.from_dict(config))
     except TypeError as exc:
         raise ValueError(
             f"manifest config for {subcommand} has a value of the wrong type: {exc}"
@@ -397,16 +382,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--strategy", choices=("rr", "ur", "wr", "context"), required=True)
-    p.add_argument("--paths", type=int, default=3)
-    p.add_argument("--boundary", choices=("packets", "time"), default="packets")
-    p.add_argument("--batch-packets", type=int, default=50)
+    # a scheduler flag left out keeps SchedulerConfig's default
+    p.add_argument("--paths", type=int, default=None)
+    p.add_argument("--boundary", choices=("packets", "time"), default=None)
+    p.add_argument("--batch-packets", type=int, default=None)
     p.add_argument("--window-ms", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=1.0, help="Dirichlet alpha (wr)")
-    p.add_argument("--handshake", type=int, default=4, help="handshake packets (context)")
-    p.add_argument("--vpn-path", type=int, default=0, help="handshake path (context)")
-    p.add_argument("--direct-path", type=int, default=1, help="post-handshake path (context)")
-    p.add_argument("--rr-offset", type=int, default=0, help="starting path (rr)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=float, default=None, help="Dirichlet alpha (wr)")
+    p.add_argument("--handshake", type=int, default=None, help="handshake packets (context)")
+    p.add_argument("--vpn-path", type=int, default=None, help="handshake path (context)")
+    p.add_argument("--direct-path", type=int, default=None,
+                   help="post-handshake path (context)")
+    p.add_argument("--rr-offset", type=int, default=None, help="starting path (rr)")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("ndjson", "csv"), default=None)
     p.add_argument("--input-format", choices=("ndjson", "csv"), default=None)
 
@@ -459,23 +446,18 @@ def _dispatch(args: argparse.Namespace) -> None:
     if "input_format" in keys:
         config["input_format"] = _infer_format(args.input, args.input_format)
     if args.subcommand == "split":
-        if args.boundary == "time" and args.window_ms is None:
+        given = dict(n_paths=args.paths, strategy=args.strategy, boundary=args.boundary,
+                     batch_packets=args.batch_packets, dirichlet_alpha=args.alpha,
+                     handshake_packets=args.handshake, vpn_path=args.vpn_path,
+                     direct_path=args.direct_path, rr_offset=args.rr_offset, seed=args.seed,
+                     window_us=None if args.window_ms is None else args.window_ms * 1000)
+        scheduler = SchedulerConfig().to_dict()
+        scheduler.update((k, v) for k, v in given.items() if v is not None)
+        if scheduler["boundary"] == "time" and args.window_ms is None:
             raise UsageError("--boundary time requires --window-ms")
-        if args.boundary == "packets" and args.window_ms is not None:
+        if scheduler["boundary"] == "packets" and args.window_ms is not None:
             raise UsageError("--window-ms requires --boundary time")
-        config["scheduler"] = {
-            "n_paths": args.paths,
-            "strategy": args.strategy,
-            "boundary": args.boundary,
-            "batch_packets": args.batch_packets,
-            "window_us": (100 if args.window_ms is None else args.window_ms) * 1000,
-            "dirichlet_alpha": args.alpha,
-            "handshake_packets": args.handshake,
-            "vpn_path": args.vpn_path,
-            "direct_path": args.direct_path,
-            "rr_offset": args.rr_offset,
-            "seed": args.seed,
-        }
+        config["scheduler"] = scheduler
     elif args.subcommand == "evaluate":
         # the spec is echoed as given; the scheduler config is what runs
         config["scheduler"] = _checked(_parse_defense, args.defense, args.alpha, args.seed)
@@ -486,7 +468,7 @@ def _dispatch(args: argparse.Namespace) -> None:
             raise UsageError(
                 f"--periods must be a comma list of integers, got {args.periods!r}"
             ) from None
-    runner(_checked(_resolve, args.subcommand, config))
+    runner(_checked(config_class.from_dict, config))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import Config, require
-from .rand import stream_rng
+from .rand import SEED_LIMIT, stream_rng
 
 _STREAM_NETSIM = 401
 # losses are drawn from blocks of this many uniforms
@@ -236,14 +236,11 @@ def simulate_transfer(
     seed: int = 0,
 ) -> TransferResult:
     """Transfer total_bytes, switching paths every switch_period_us, or
-    never when it is None. seed lies in [0, 2**63), the seeds
-    rand.stream_rng tells apart."""
+    never when it is None. seed lies in rand's range, [0, rand.SEED_LIMIT)."""
     if not paths:
         raise ValueError("need at least one path")
     if switch_period_us is not None and switch_period_us < 1:
         raise ValueError(f"switch_period_us must be >= 1, got {switch_period_us}")
-    if not 0 <= seed < 2**63:
-        raise ValueError(f"seed must be in [0, {2**63}), got {seed}")
     if total_bytes < sender.mss_bytes:
         raise ValueError("total_bytes must be at least one MSS")
     loss = max(path.loss_rate for path in paths)
@@ -270,17 +267,16 @@ def sweep_frequencies(
 ) -> list[SweepPoint]:
     """Mean overhead per switching period over seeded repetitions; each
     repetition's unswitched transfer is the baseline of every period.
-    seed lies in [0, 2**63); repetition r transfers on a seed drawn from
-    the stream (seed, r), whatever the repetition count."""
+    seed lies in rand's range, [0, rand.SEED_LIMIT); repetition r
+    transfers on a seed drawn from the stream (seed, r), whatever the
+    repetition count."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if len(periods_us) == 0:
         raise ValueError("need at least one switching period")
     if min(periods_us) < 1:  # before any transfer runs
         raise ValueError(f"switch_period_us must be >= 1, got {min(periods_us)}")
-    if not 0 <= seed < 2**63:
-        raise ValueError(f"seed must be in [0, {2**63}), got {seed}")
-    seeds = [int(stream_rng(seed, _STREAM_NETSIM, rep).integers(2**63))
+    seeds = [int(stream_rng(seed, _STREAM_NETSIM, rep).integers(SEED_LIMIT))
              for rep in range(repetitions)]
     base = [simulate_transfer(paths, sender, None, total_bytes, s) for s in seeds]
     mean_base = float(np.mean([run.throughput_bytes_per_s for run in base]))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, require
-from .rand import stream_rng
+from .rand import SEED_LIMIT, SEED_RULE, stream_rng
 from .traces import INT64_MAX, Trace
 
 _STREAM_SCHEDULE = 201
@@ -88,6 +88,7 @@ class SchedulerConfig(Config):
                 raise ValueError(f"direct_path {self.direct_path} out of range")
         if not (0 <= self.rr_offset < self.n_paths):
             raise ValueError(f"rr_offset {self.rr_offset} out of range")
+        require(self, "seed", 0 <= self.seed < SEED_LIMIT, SEED_RULE)
 
 
 def draw_connection_weights(

@@ -218,7 +218,8 @@ def test_total_mb_is_capped_before_any_work(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "usage error: total_mb must be at most 10000 (netsim.MAX_TOTAL_BYTES), got 1e+300\n")
     assert not out.exists() and not (tmp_path / "sweep.csv.manifest.json").exists()
-    at_cap = cli._resolve("overhead", _flag_config(monkeypatch, [*argv, "--total-mb", "10000"]))
+    at_cap = cli.OverheadConfig.from_dict(
+        _flag_config(monkeypatch, [*argv, "--total-mb", "10000"]))
     assert at_cap.total_bytes == netsim.MAX_TOTAL_BYTES == 10_000 * 1_000_000
 
 
@@ -236,6 +237,18 @@ def test_total_mb_cap_shrinks_with_loss(tmp_path, capsys):
 
 def test_replay_missing_manifest_exits_1(tmp_path):
     assert run(["replay", str(tmp_path / "nope.manifest.json")]) == 1
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["empty", "not-utf-8"])
+def test_replay_names_a_manifest_that_is_not_json(tmp_path, capsys, content, reason):
+    # the decoder's message alone once named neither the file nor its kind
+    manifest = tmp_path / "bad.manifest.json"
+    manifest.write_bytes(content)
+    assert run(["replay", str(manifest)]) == 1
+    assert capsys.readouterr().err == f"error: manifest {manifest} is not valid JSON: {reason}\n"
 
 
 def test_manifest_contents(small_corpus):
@@ -328,13 +341,13 @@ def _string_path_count(manifest):
 
 
 def _negative_seed(manifest):
-    # stream_rng would fold -1 onto 2**63 - 1
+    # stream_rng refuses -1, which it once folded onto 2**63 - 1
     manifest["config"]["seed"] = -1
     return manifest
 
 
 def _overhead_seed_2_63(manifest):
-    # stream_rng would fold 2**63 onto seed 0
+    # stream_rng refuses 2**63, which it once folded onto seed 0
     return _overhead(manifest, seed=2**63)
 
 
@@ -541,12 +554,15 @@ def _flag_config(monkeypatch, argv):
     """The config dict the flags of argv build, captured before it runs."""
     configs = []
 
-    def capture(subcommand, config):
+    def capture(cls, config):
         configs.append(config)
         raise ValueError("captured")
 
+    # patched on the subcommand's class, which inherits from_dict, so the
+    # undo deletes the patch rather than put back a method bound to Config
+    config_class = cli._RUNNERS[argv[0]][0]
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_resolve", capture)
+        patch.setattr(config_class, "from_dict", classmethod(capture))
         assert run(argv) == 2
     return configs[0]
 

@@ -183,7 +183,7 @@ def test_transfer_cap_shrinks_with_the_highest_loss_rate(monkeypatch):
 
 
 def test_transfer_refuses_seeds_its_stream_would_fold():
-    # stream_rng folds seeds mod 2**63: 2**63 once gave seed 0's transfer
+    # stream_rng refuses seeds outside [0, 2**63); 2**63 once gave seed 0's transfer
     refusal = r"^seed must be in \[0, 9223372036854775808\), got"
     for bad in (-1, 2**63, 2**64):
         with pytest.raises(ValueError, match=refusal):
@@ -201,7 +201,7 @@ def test_sweep_takes_every_seed_of_the_stream_range():
 
 
 def test_sweep_refuses_seeds_its_streams_would_fold():
-    # stream_rng folds seeds mod 2**63: 2**63 would sweep the bytes of seed 0
+    # stream_rng refuses seeds outside [0, 2**63); 2**63 once swept the bytes of seed 0
     for bad in (-1, 2**63, 2**64 + 7):
         with pytest.raises(ValueError, match=r"^seed must be in \[0, 9223372036854775808\), got"):
             sweep_frequencies(paths(), WG, [10_000], 100_000, repetitions=1, seed=bad)

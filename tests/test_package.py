@@ -1,8 +1,10 @@
-"""The package's public surface: every exported name exists, once, no
-module or test file imports a name it never reads, and every private
-module-level name of the package is read somewhere in it."""
+"""The package's public surface: every exported name exists, once, its
+version is the one pyproject.toml declares, no module or test file
+imports a name it never reads, and every private module-level name of
+the package is read somewhere in it."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,14 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(pathsplit, name)]
     assert missing == []
+
+
+def test_pyproject_declares_the_package_version():
+    # a version bump edits both by hand
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    declared = re.search(r'^version\s*=\s*"([^"]*)"', project, re.M).group(1)
+    assert declared == pathsplit.__version__
 
 
 def test_star_import():
