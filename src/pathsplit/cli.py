@@ -1,9 +1,10 @@
 """Command-line surface: generate, split, evaluate, overhead, replay.
 
-Every subcommand writes its artifact atomically and drops a manifest next
-to it (<output>.manifest.json) recording the subcommand, the fully
-resolved configuration, seed, inputs/outputs, tool version, and wall-clock
-duration. `replay <manifest>` re-runs the recorded command; artifacts are
+Every subcommand writes its artifact atomically, and one function runs,
+times and records them all: it drops a manifest next to the artifact
+(<output>.manifest.json) recording the subcommand, the fully resolved
+configuration, seed, inputs/outputs, tool version, and wall-clock duration.
+`replay <manifest>` re-runs the recorded command; artifacts are
 deterministic, so a replay reproduces the artifact byte for byte.
 
 Flags become the same config dict a manifest records, and the
@@ -33,7 +34,7 @@ from .netsim import (
     sweep_to_csv,
 )
 from .rand import SEED_LIMIT, SEED_RULE
-from .scheduler import MAX_PATHS, SchedulerConfig, Strategy
+from .scheduler import MAX_PATHS, BoundaryMode, SchedulerConfig, Strategy
 from .splitter import split_dataset
 from .traces import (
     FORMATS, atomic_write_text, generate_synthetic, load_dataset, save_dataset,
@@ -93,33 +94,6 @@ def _parse_defense(spec: str, alpha: float, seed: int) -> dict | None:
     except ValueError:
         raise ValueError(f"bad frequency {freq!r} in defense spec") from None
     return scheduler
-
-
-def _checked(build, *args, **kwargs):
-    """Call build on values derived from flags; a value it refuses is a
-    usage error."""
-    try:
-        return build(*args, **kwargs)
-    except (ValueError, OverflowError) as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _write_manifest(
-    subcommand: str, config: Config, seed: int, inputs: list[str], started: float,
-) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "config": config.to_dict(),
-        "seed": seed,
-        "inputs": inputs,
-        "outputs": [config.output],
-        "tool_version": __version__,
-        "duration_s": round(time.monotonic() - started, 6),
-    }
-    atomic_write_text(
-        config.output + ".manifest.json",
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
 
 
 # --- one typed config per subcommand: its fields are the keys of the
@@ -245,31 +219,26 @@ class OverheadConfig(Config):
         return int(self.total_mb * 1_000_000)
 
 
-# --- runners take a checked config, so `replay` can re-invoke them from a
-# manifest verbatim
+# --- runners take a checked config and return a summary of the artifact
+# they wrote, so `replay` can re-invoke them from a manifest verbatim
 
 
-def run_generate(config: GenerateConfig) -> None:
-    started = time.monotonic()
+def run_generate(config: GenerateConfig) -> str:
     dataset = generate_synthetic(
         config.classes, config.per_class, config.unmonitored, seed=config.seed
     )
     save_dataset(dataset, config.output, config.format)
-    _write_manifest("generate", config, config.seed, [], started)
-    print(f"wrote {config.output} ({len(dataset)} traces)")
+    return f"{len(dataset)} traces"
 
 
-def run_split(config: SplitConfig) -> None:
-    started = time.monotonic()
+def run_split(config: SplitConfig) -> str:
     dataset = load_dataset(config.input, config.input_format)
     out = split_dataset(dataset, config.scheduler)
     save_dataset(out, config.output, config.format)
-    _write_manifest("split", config, config.scheduler.seed, [config.input], started)
-    print(f"wrote {config.output} ({len(out)} traces from {len(dataset)} parents)")
+    return f"{len(out)} traces from {len(dataset)} parents"
 
 
-def run_evaluate(config: EvaluateConfig) -> None:
-    started = time.monotonic()
+def run_evaluate(config: EvaluateConfig) -> str:
     dataset = load_dataset(config.input, config.input_format)
     report = evaluate_defense(
         dataset,
@@ -285,16 +254,11 @@ def run_evaluate(config: EvaluateConfig) -> None:
     atomic_write_text(
         config.output, json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
-    _write_manifest("evaluate", config, config.seed, [config.input], started)
-    print(
-        f"wrote {config.output} "
-        f"(f1={report.f1:.3f} r_precision={report.r_precision:.3f} "
-        f"recall={report.recall:.3f})"
-    )
+    return (f"f1={report.f1:.3f} r_precision={report.r_precision:.3f} "
+            f"recall={report.recall:.3f}")
 
 
-def run_overhead(config: OverheadConfig) -> None:
-    started = time.monotonic()
+def run_overhead(config: OverheadConfig) -> str:
     path = PathModel(
         rtt_us=config.rtt_ms * 1000,
         bandwidth_bytes_per_s=config.bandwidth_bytes_per_s,
@@ -309,12 +273,9 @@ def run_overhead(config: OverheadConfig) -> None:
         seed=config.seed,
     )
     atomic_write_text(config.output, sweep_to_csv(points))
-    _write_manifest("overhead", config, config.seed, [], started)
     worst = max(points, key=lambda p: p.overhead_fraction)
-    print(
-        f"wrote {config.output} ({len(points)} periods; "
-        f"max overhead {worst.overhead_fraction:.1%} at {worst.period_us}us)"
-    )
+    return (f"{len(points)} periods; "
+            f"max overhead {worst.overhead_fraction:.1%} at {worst.period_us}us")
 
 
 # subcommand -> (its config, its runner)
@@ -324,6 +285,27 @@ _RUNNERS = {
     "evaluate": (EvaluateConfig, run_evaluate),
     "overhead": (OverheadConfig, run_overhead),
 }
+
+
+def _execute(subcommand: str, config: Config) -> None:
+    """Run subcommand on its checked config, record the run in
+    <output>.manifest.json and print what it wrote."""
+    started = time.monotonic()
+    summary = _RUNNERS[subcommand][1](config)
+    manifest = {
+        "subcommand": subcommand,
+        "config": config.to_dict(),
+        "seed": config.scheduler.seed if subcommand == "split" else config.seed,
+        "inputs": [config.input] if hasattr(config, "input") else [],
+        "outputs": [config.output],
+        "tool_version": __version__,
+        "duration_s": round(time.monotonic() - started, 6),
+    }
+    atomic_write_text(
+        config.output + ".manifest.json",
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+    )
+    print(f"wrote {config.output} ({summary})")
 
 
 def run_replay(manifest_path: str, output_override: str | None) -> None:
@@ -349,13 +331,13 @@ def run_replay(manifest_path: str, output_override: str | None) -> None:
     config = dict(config)
     if output_override:
         config["output"] = output_override
-    config_class, runner = _RUNNERS[subcommand]
     try:
-        runner(config_class.from_dict(config))
+        checked = _RUNNERS[subcommand][0].from_dict(config)
     except TypeError as exc:
         raise ValueError(
             f"manifest config for {subcommand} has a value of the wrong type: {exc}"
         ) from None
+    _execute(subcommand, checked)
 
 
 # --- argument parsing
@@ -376,15 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unmonitored", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--format", choices=("ndjson", "csv"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
 
     p = sub.add_parser("split", help="split a dataset across simulated paths")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--strategy", choices=("rr", "ur", "wr", "context"), required=True)
+    p.add_argument("--strategy", choices=[s.value for s in Strategy], required=True)
     # a scheduler flag left out keeps SchedulerConfig's default
     p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--boundary", choices=("packets", "time"), default=None)
+    p.add_argument("--boundary", choices=[b.value for b in BoundaryMode], default=None)
     p.add_argument("--batch-packets", type=int, default=None)
     p.add_argument("--window-ms", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None, help="Dirichlet alpha (wr)")
@@ -394,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="post-handshake path (context)")
     p.add_argument("--rr-offset", type=int, default=None, help="starting path (rr)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("ndjson", "csv"), default=None)
-    p.add_argument("--input-format", choices=("ndjson", "csv"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
+    p.add_argument("--input-format", choices=FORMATS, default=None)
 
     p = sub.add_parser("evaluate", help="run the fingerprinting attack pipeline")
     p.add_argument("-i", "--input", required=True)
@@ -412,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold-quantile", type=float, default=0.95)
     p.add_argument("--r", type=float, default=20.0)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--input-format", choices=("ndjson", "csv"), default=None)
+    p.add_argument("--input-format", choices=FORMATS, default=None)
 
     p = sub.add_parser("overhead", help="sweep throughput vs switching period")
-    p.add_argument("--protocol", choices=("quic", "wireguard"), required=True)
+    p.add_argument("--protocol", choices=[m.value for m in Protocol], required=True)
     p.add_argument("--periods", required=True, help="comma list of periods in ms")
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--paths", type=int, default=2)
@@ -438,7 +420,7 @@ def _dispatch(args: argparse.Namespace) -> None:
     if args.subcommand == "replay":
         run_replay(args.manifest, args.output)
         return
-    config_class, runner = _RUNNERS[args.subcommand]
+    config_class = _RUNNERS[args.subcommand][0]
     keys = {f.name for f in fields(config_class)}
     config = {k: v for k, v in vars(args).items() if k in keys}
     if "format" in keys:
@@ -458,9 +440,6 @@ def _dispatch(args: argparse.Namespace) -> None:
         if scheduler["boundary"] == "packets" and args.window_ms is not None:
             raise UsageError("--window-ms requires --boundary time")
         config["scheduler"] = scheduler
-    elif args.subcommand == "evaluate":
-        # the spec is echoed as given; the scheduler config is what runs
-        config["scheduler"] = _checked(_parse_defense, args.defense, args.alpha, args.seed)
     elif args.subcommand == "overhead":
         try:
             config["periods_ms"] = [int(p) for p in args.periods.split(",") if p]
@@ -468,7 +447,14 @@ def _dispatch(args: argparse.Namespace) -> None:
             raise UsageError(
                 f"--periods must be a comma list of integers, got {args.periods!r}"
             ) from None
-    runner(_checked(config_class.from_dict, config))
+    try:  # a value the config refuses is a usage error
+        if args.subcommand == "evaluate":
+            # the spec is echoed as given; the scheduler config is what runs
+            config["scheduler"] = _parse_defense(args.defense, args.alpha, args.seed)
+        checked = config_class.from_dict(config)
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(str(exc)) from None
+    _execute(args.subcommand, checked)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -469,6 +469,12 @@ def _overhead(manifest, **changes):
                                        "dirichlet_alpha": True}),
      "scheduler.dirichlet_alpha must be a number, got True"),
     (lambda m: _evaluate(m, note="x"), "unknown evaluate config field(s): note"),
+    (lambda m: m.update(subcommand="bogus") or m, "manifest names unknown subcommand 'bogus'"),
+    (lambda m: _evaluate(m, scheduler={"n_paths": 3, "strategy": "zz", "batch_packets": 50}),
+     "error: scheduler.strategy must be one of ('rr', 'ur', 'wr', 'context'), got 'zz'\n"),
+    (lambda m: _evaluate(m, scheduler=5),
+     "error: manifest config for evaluate has a value of the wrong type: "
+     "scheduler must be an object, got 5\n"),
 ])
 def test_replay_rejects_bad_manifest(small_corpus, tmp_path, capsys, mutate, message):
     path = str(small_corpus) + ".manifest.json"
@@ -642,3 +648,71 @@ def test_evaluate_never_imports_numpy_ma(small_corpus, tmp_path, defense):
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.splitlines()[-1] == "False"
+
+
+# --- each subcommand's run ends in one place, which records and reports it
+
+
+def test_evaluate_context_defense_runs_and_replays(small_corpus, tmp_path):
+    report = tmp_path / "ctx.json"
+    assert run(["evaluate", "-i", str(small_corpus), "--defense", "context:2:4",
+                "-o", str(report)]) == 0
+    manifest = json.loads(Path(f"{report}.manifest.json").read_text())
+    scheduler = manifest["config"]["scheduler"]
+    assert scheduler["strategy"] == "context" and scheduler["handshake_packets"] == 4
+    assert scheduler["n_paths"] == 2
+    copy = tmp_path / "ctx2.json"
+    assert run(["replay", f"{report}.manifest.json", "-o", str(copy)]) == 0
+    assert copy.read_bytes() == report.read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evaluate", "--defense", "wr:x:50"], "path count 'x' is not an integer"),
+    (["evaluate", "--defense", "wr:3:x"], "bad frequency 'x' in defense spec"),
+    (["split", "--strategy", "wr", "--window-ms", "20"], "--window-ms requires --boundary time"),
+    (["overhead", "--protocol", "quic", "--periods", "10,x"],
+     "--periods must be a comma list of integers, got '10,x'"),
+], ids=["defense-paths", "defense-frequency", "window-without-time", "periods"])
+def test_flags_refused_before_the_config_exit_2(small_corpus, tmp_path, capsys,
+                                                argv, message):
+    if argv[0] != "overhead":
+        argv = [*argv, "-i", str(small_corpus)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+    assert not out.exists() and not (tmp_path / "out.manifest.json").exists()
+
+
+def test_each_subcommand_reports_what_it_wrote(small_corpus, tmp_path, capsys):
+    def stdout(argv):
+        capsys.readouterr()
+        assert run(argv) == 0
+        return capsys.readouterr().out
+
+    data = tmp_path / "d.csv"
+    assert stdout(["generate", "--classes", "3", "--per-class", "4", "--unmonitored", "5",
+                   "-o", str(data)]) == f"wrote {data} (17 traces)\n"
+    split = tmp_path / "s.ndjson"
+    assert stdout(["split", "-i", str(data), "--strategy", "rr", "--paths", "2",
+                   "-o", str(split)]) == (
+        f"wrote {split} ({len(load_dataset(split))} traces from 17 parents)\n")
+    report = tmp_path / "r.json"
+    line = stdout(["evaluate", "-i", str(small_corpus), "--defense", "none",
+                   "-o", str(report)])
+    payload = json.loads(report.read_text())
+    assert line == (f"wrote {report} (f1={payload['f1']:.3f} "
+                    f"r_precision={payload['r_precision']:.3f} "
+                    f"recall={payload['recall']:.3f})\n")
+    sweep = tmp_path / "o.csv"
+    assert stdout(["overhead", "--protocol", "quic", "--periods", "10,100", "--reps", "1",
+                   "--total-mb", "1", "-o", str(sweep)]) == (
+        f"wrote {sweep} (2 periods; max overhead 86.9% at 10000us)\n")
+    again = tmp_path / "o2.csv"
+    assert stdout(["replay", f"{sweep}.manifest.json", "-o", str(again)]) == (
+        f"wrote {again} (2 periods; max overhead 86.9% at 10000us)\n")
+    for artifact, seed, inputs in ((data, 0, []), (split, 0, [str(data)]),
+                                   (report, 0, [str(small_corpus)]), (again, 0, [])):
+        manifest = json.loads(Path(f"{artifact}.manifest.json").read_text())
+        assert (manifest["seed"], manifest["inputs"]) == (seed, inputs)
+        assert manifest["outputs"] == [str(artifact)]

@@ -155,6 +155,11 @@ def test_input_validation():
         sweep_frequencies(paths(), QUIC, [], MB)
 
 
+def test_sweep_needs_a_repetition():
+    with pytest.raises(ValueError, match="^repetitions must be >= 1$"):
+        sweep_frequencies(paths(), QUIC, [10_000], MB, repetitions=0)
+
+
 def test_transfer_size_is_capped(monkeypatch):
     # 1e300 MB once ran on with no end in sight
     too_big = netsim.MAX_TOTAL_BYTES + 1

@@ -229,6 +229,24 @@ def test_config_validation():
             cfg(**{name: 2**63})
 
 
+@pytest.mark.parametrize("changes, message", [
+    (dict(strategy=Strategy.CONTEXT_DEPENDENT, vpn_path=3), "vpn_path 3 out of range"),
+    (dict(strategy=Strategy.CONTEXT_DEPENDENT, direct_path=-1), "direct_path -1 out of range"),
+    (dict(rr_offset=3), "rr_offset 3 out of range"),
+    (dict(rr_offset=-1), "rr_offset -1 out of range"),
+], ids=["vpn_path", "direct_path", "rr_offset-high", "rr_offset-negative"])
+def test_config_refuses_a_path_index_out_of_range(changes, message):
+    with pytest.raises(ValueError) as exc:
+        cfg(**changes)
+    assert str(exc.value) == message
+
+
+def test_connection_weights_need_two_paths():
+    with pytest.raises(ValueError) as exc:
+        draw_connection_weights(1, 1.0, stream_rng(0))
+    assert str(exc.value) == "n_paths must be >= 2, got 1"
+
+
 def test_config_round_trips_as_dict():
     config = cfg(strategy=Strategy.WEIGHTED_RANDOM, seed=17)
     assert SchedulerConfig.from_dict(config.to_dict()) == config

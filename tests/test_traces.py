@@ -94,6 +94,52 @@ def test_load_rejects_invalid_json_with_line(tmp_path):
         load_dataset(f, "ndjson")
 
 
+GOOD_RECORD = {"label": "class-000", "monitored": True, "packets": [[0, 100]]}
+
+
+@pytest.mark.parametrize("record, message", [
+    ([1], "record is not a JSON object"),
+    ({"label": "class-000", "monitored": True}, "missing field(s): packets"),
+    ({**GOOD_RECORD, "label": 7}, "label must be a string"),
+    ({**GOOD_RECORD, "monitored": "yes"}, "monitored must be a boolean"),
+    ({**GOOD_RECORD, "packets": {"0": 100}}, "packets must be a list"),
+    ({**GOOD_RECORD, "packets": [[1]]},
+     "packet entries must be [timestamp_us, signed_size] integer pairs, got [1]"),
+    ({**GOOD_RECORD, "packets": [[0, True]]},
+     "packet entries must be [timestamp_us, signed_size] integer pairs, got [0, True]"),
+    ({**GOOD_RECORD, "packets": [[0, 100], [0, 1.5]]},
+     "packet entries must be [timestamp_us, signed_size] integer pairs, got [0, 1.5]"),
+], ids=["not-an-object", "missing-field", "label", "monitored", "packets",
+        "short-entry", "bool-size", "float-size"])
+def test_ndjson_refuses_a_malformed_record_by_line(tmp_path, record, message):
+    f = tmp_path / "d.ndjson"
+    write_ndjson(f, [GOOD_RECORD, record])
+    with pytest.raises(DatasetFormatError) as exc:
+        load_dataset(f, "ndjson")
+    assert str(exc.value) == f"line 2: {message}"
+    assert exc.value.line == 2
+
+
+def test_ndjson_skips_blank_lines_which_keep_their_numbers(tmp_path):
+    f = tmp_path / "d.ndjson"
+    good = json.dumps(GOOD_RECORD)
+    f.write_text(f"{good}\n\n  \t\n{good}\n")
+    assert len(load_dataset(f, "ndjson")) == 2
+    f.write_text(f"{good}\n\n  \t\n[1]\n")
+    with pytest.raises(DatasetFormatError) as exc:
+        load_dataset(f, "ndjson")
+    assert str(exc.value) == "line 4: record is not a JSON object"
+
+
+def test_csv_refuses_an_empty_file(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("")
+    with pytest.raises(DatasetFormatError) as exc:
+        load_dataset(f, "csv")
+    assert str(exc.value) == "line 1: missing header row"
+    assert exc.value.line == 1
+
+
 def test_csv_rejects_unknown_column_by_name(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("trace_id,label,monitored,timestamp_us,signed_size,extra\n")
@@ -234,6 +280,17 @@ def test_unknown_format_rejected(tmp_path):
 # --- synthetic generator
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 1), "classes must be >= 1"),
+    ((1, 0), "traces_per_class must be >= 1"),
+    ((1, 1, -1), "unmonitored_count must be >= 0"),
+], ids=["classes", "per-class", "unmonitored"])
+def test_generator_refuses_bad_counts(args, message):
+    with pytest.raises(ValueError) as exc:
+        generate_synthetic(*args)
+    assert str(exc.value) == message
+
+
 def test_generator_is_deterministic():
     a = generate_synthetic(1, 2, 0, seed=9)
     b = generate_synthetic(1, 2, 0, seed=9)
@@ -283,6 +340,12 @@ def test_trace_columns_are_validated_and_read_only():
     with pytest.raises(ValueError, match="sizes"):
         Trace([0, 5], [100], "class-000", True)
     assert Trace([0, 1], [2**62, -(2**62)], "class-000", True).total_bytes == 2**63
+
+
+def test_int64_column_refuses_a_2d_array():
+    with pytest.raises(ValueError) as exc:
+        traces_module.int64_column(np.zeros((2, 2), np.int64))
+    assert str(exc.value) == "expected a 1-D column, got shape (2, 2)"
 
 
 def test_packets_view_holds_the_ndjson_wire_pairs(tmp_path):

@@ -195,6 +195,17 @@ def test_degenerate_training_sets_rejected():
         train_classifier(Dataset.from_traces(no_unmon))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(k=0), "k must be >= 1, got 0"),
+    (dict(threshold_quantile=0), "threshold_quantile must be in (0, 1], got 0"),
+    (dict(threshold_quantile=1.5), "threshold_quantile must be in (0, 1], got 1.5"),
+], ids=["k", "quantile-0", "quantile-1.5"])
+def test_train_classifier_refuses_bad_parameters(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        train_classifier(generate_synthetic(2, 4, 2, seed=0), **kwargs)
+    assert str(exc.value) == message
+
+
 # --- the screened k-NN is exact: the dense rule it replaced is the oracle
 
 
@@ -478,6 +489,15 @@ def test_confusion_counts_identities_enforced():
         ConfusionCounts(10, 0, 3, 0, 7, 10, 7)
     with pytest.raises(ValueError, match="positive"):
         ConfusionCounts(0, 0, 0, 0, 0, 0, 0)
+
+
+def test_confusion_counts_refuse_a_negative_count():
+    with pytest.raises(ValueError, match="^confusion counts must be non-negative$"):
+        ConfusionCounts(11, -1, 0, 0, 7, 10, 7)
+
+
+def test_f1_is_zero_when_precision_and_recall_are():
+    assert f1_score(0.0, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf")])
