@@ -2,9 +2,13 @@
 
 A stream is identified by a user-facing seed plus a tuple of small integers
 naming the consumer (module tag, trace index, repetition, ...). Identical
-identifiers always produce identical generators, and distinct identifiers
-produce independent streams, so datasets and experiments are reproducible
-trace by trace.
+identifiers always produce identical generators, so datasets and
+experiments are reproducible trace by trace. Distinct identifiers are not
+always independent streams. numpy's SeedSequence reads the missing words
+of its 4-word pool as 0, so identifiers that differ only by trailing zero
+ids can name one stream: (5, 401), (5, 401, 0) and (5, 401, 0, 0) do. It
+also joins each integer's 32-bit words with no separator, so a seed at or
+above 2**32 can name a smaller seed's stream with one more id.
 
 A seed is an integer in [0, SEED_LIMIT), SEED_RULE in a config's checks.
 stream_rng refuses any other seed rather than fold it onto one in range;

@@ -2,10 +2,10 @@
 
 A trace is columnar: two read-only int64 arrays of equal length,
 ``times_us`` (microseconds, sorted, non-negative) and ``signed_size``
-(bytes, sign gives the direction). ``Trace.packets`` is a read-only view
-of the same columns as ``(timestamp_us, signed_size)`` int pairs, the
-ndjson wire pair, built on access; nothing on the load, split or feature
-path reads it.
+(bytes, sign gives the direction). ``Trace.packets`` is a tuple of the
+columns' ``(timestamp_us, signed_size)`` int pairs, the ndjson wire pair,
+built anew on each read at O(n) cost; nothing in the package reads it,
+and ``len(trace)`` is the packet count.
 
 Two wire formats are supported:
 
@@ -64,7 +64,6 @@ import sys
 import warnings
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable
@@ -111,28 +110,6 @@ def int64_column(values) -> np.ndarray:
         column = column.view()
         column.flags.writeable = False
     return column
-
-
-class _PairView(Sequence):
-    """A trace's packets as ``(timestamp_us, signed_size)`` int pairs.
-
-    Each pair is built when it is read; ``len`` reads the column length.
-    """
-
-    __slots__ = ("_times", "_sizes")
-
-    def __init__(self, times_us: np.ndarray, signed_size: np.ndarray):
-        self._times = times_us
-        self._sizes = signed_size
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def __getitem__(self, index: int) -> tuple[int, int]:
-        return int(self._times[index]), int(self._sizes[index])
-
-    def __iter__(self):
-        return zip(self._times.tolist(), self._sizes.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,9 +167,9 @@ class Trace:
         return trace
 
     @property
-    def packets(self) -> _PairView:
-        """The packets as ``(timestamp_us, signed_size)`` int pairs."""
-        return _PairView(self.times_us, self.signed_size)
+    def packets(self) -> tuple[tuple[int, int], ...]:
+        """The packets as ``(timestamp_us, signed_size)`` int pairs, built on each read."""
+        return tuple(zip(self.times_us.tolist(), self.signed_size.tolist()))
 
     def __len__(self) -> int:
         return len(self.times_us)
@@ -421,6 +398,7 @@ def _ndjson_columns(entries: list, line: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bad_ndjson_entry(entries: list, line: int) -> DatasetFormatError:
+    """The error naming the first bad entry; entries must hold one."""
     for entry in entries:
         if not (
             type(entry) is list
@@ -436,7 +414,6 @@ def _bad_ndjson_entry(entries: list, line: int) -> DatasetFormatError:
             return DatasetFormatError(
                 f"packet values must fit in int64, got {entry!r}", line
             )
-    return DatasetFormatError("malformed packet entries", line)
 
 
 def _read_ndjson(path) -> list[Trace]:
@@ -676,7 +653,7 @@ def _changes(column: np.ndarray, previous) -> np.ndarray:
     return column != before
 
 
-def _csv_line(path, row: int) -> int | None:
+def _csv_line(path, row: int) -> int:
     """The line on which the csv row after `row` rows past the header
     begins; a blank line is not a row."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -687,7 +664,6 @@ def _csv_line(path, row: int) -> int | None:
                 return begins
             row -= bool(fields)
             begins = reader.line_num + 1
-    return None
 
 
 def _flat_pairs(trace: Trace) -> tuple[int, ...]:

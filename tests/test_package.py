@@ -1,7 +1,7 @@
 """The package's public surface: every exported name exists, once, its
 version is the one pyproject.toml declares, no module or test file
-imports a name it never reads, and every private module-level name of
-the package is read somewhere in it."""
+imports a name it never reads, every private module-level name of
+the package is read somewhere in it, and no module reads ``.packets``."""
 
 import ast
 import re
@@ -124,3 +124,18 @@ def test_private_name_check_sees_defs_and_reads():
     )
     assert _private_names(source) == {"_LIMIT", "_a", "_b", "_used", "_orphan", "_Kind"}
     assert _private_names(source) - _read_names(source) == {"_a", "_orphan", "_Kind"}
+
+
+def _packets_reads(source: str) -> list[int]:
+    """The lines on which a module reads an attribute called ``packets``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "packets")
+
+
+def test_no_module_reads_trace_packets():
+    # Trace.packets builds a tuple of every packet on each read, so a
+    # reader on the load, split or feature path would cost O(n) per call
+    assert _packets_reads("def packets(self): pass\nn = len(t.packets)\n") == [2]
+    reads = {path.name: _packets_reads(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in reads.items() if lines} == {}

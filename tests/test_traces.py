@@ -184,6 +184,8 @@ def test_normalize_trace_idempotent():
     once = normalize_trace(t)
     assert normalize_trace(once) == once
     assert once.times_us[0] == 0
+    empty = mk_trace([])
+    assert normalize_trace(empty) is empty
 
 
 # --- saving and round trips
@@ -331,6 +333,9 @@ def test_generator_rate_near_500_pps():
 def test_trace_columns_are_validated_and_read_only():
     t = Trace([0, 5], [100, -200], "class-000", True)
     assert t.times_us.dtype == t.signed_size.dtype == "int64"
+    assert t == Trace([0, 5], [100, -200], "class-000", True)
+    assert t.__eq__(((0, 100), (5, -200))) is NotImplemented
+    assert not t == ((0, 100), (5, -200))
     with pytest.raises(ValueError):
         t.times_us[0] = 1
     with pytest.raises(ValueError, match="negative"):
