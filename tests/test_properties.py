@@ -1,7 +1,7 @@
 """Property tests: loader round trips, the csv reader and writer against
-the csv module, the ndjson writer against the json module, split against
-a boolean-mask oracle, the split/merge inverse, schedule determinism and
-clock-shift invariance of the features."""
+the csv module, the ndjson reader and writer against the json module,
+split against a boolean-mask oracle, the split/merge inverse, schedule
+determinism and clock-shift invariance of the features."""
 
 import csv
 import io
@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathsplit.scheduler import (
@@ -229,6 +229,147 @@ def test_csv_loader_agrees_with_csv_reader(tmp_path_factory, block_rows, body):
             assert str(exc.value) == expected
         else:
             assert load_dataset(path, "csv").traces == expected
+
+
+# ndjson lines that the reader must load, or refuse with the message the
+# record checks give: good records among rule breaks (a span beyond int64,
+# zero sizes, the reserved label misused), bad JSON, non-objects, unknown
+# and missing fields, mistyped fields, bad or out-of-int64 packet entries,
+# empty packet lists and blank lines.
+ndjson_times = st.sampled_from([*range(-9, 10), INT64_MIN, INT64_MAX])
+ndjson_sizes = st.sampled_from([*range(-9, 0), *range(1, 10), INT64_MIN, INT64_MAX])
+bad_entries = st.sampled_from([
+    [1], [0, 1, 2], [0, True], [0, 1.5], [None, 1], ["0", 1], "x", {"0": 1}, 7,
+    [INT64_MAX + 1, 1], [0, INT64_MIN - 1], [2**70, True],
+])
+
+
+@st.composite
+def ndjson_lines(draw):
+    kind = draw(st.sampled_from(
+        ["good"] * 6 + ["span", "zero", "reserved", "entry", "empty", "json", "object",
+                         "unknown", "missing", "label", "monitored", "packets", "blank"]
+    ))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", " \t "]))
+    if kind == "json":
+        return draw(st.sampled_from(["{oops", '{"label": ', "[1,]", "nul", '"a']))
+    if kind == "object":
+        return json.dumps(draw(st.sampled_from([[1], 3, "s", None, [], True])))
+    monitored = draw(st.booleans())
+    label = draw(csv_texts) if monitored else UNMONITORED_LABEL
+    if kind == "reserved":
+        label = UNMONITORED_LABEL if monitored else draw(csv_texts)
+    packets = draw(st.lists(st.tuples(ndjson_times, ndjson_sizes).map(list),
+                            min_size=1, max_size=4))
+    at = draw(st.integers(0, len(packets)))
+    if kind == "span":
+        packets[at:at] = [[-(2**62), 1], [INT64_MAX, -1]]
+    elif kind == "zero":
+        packets.insert(at, [draw(ndjson_times), 0])
+    elif kind == "entry":
+        packets.insert(at, draw(bad_entries))
+    elif kind == "empty":
+        packets = []
+    record = {"label": label, "monitored": monitored, "packets": packets}
+    if kind == "unknown":
+        record[draw(st.sampled_from(["bogus", "trace_id", "Label"]))] = 1
+    elif kind == "missing":
+        del record[draw(st.sampled_from(list(record)))]
+    elif kind in ("label", "monitored", "packets"):
+        record[kind] = draw(st.sampled_from([7, "yes", None, {"0": 1}, [], 1.5]))
+    fields = list(record.items())
+    return json.dumps(dict(draw(st.permutations(fields))), ensure_ascii=draw(st.booleans()))
+
+
+@st.composite
+def ndjson_bodies(draw):
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + end for line in draw(st.lists(ndjson_lines(), max_size=6)))
+
+
+def reference_ndjson_load(path) -> tuple[Trace, ...] | str:
+    """An ndjson file's traces, or the message that refuses it, read line by
+    line with the json module under the loaders' documented precedence.
+
+    A line's first fault is taken in this order: the JSON, an object, the
+    unknown then the missing fields, the label's, the flag's and the
+    packets' types, the first bad packet entry, an empty packet list; then
+    the trace's rules, each on its row: span (the first), zero size (its
+    own), reserved label (the first); on one row span, zero size, label.
+    The first line with a fault is named.
+    """
+    traces = []
+    with open(path, encoding="utf-8") as fh:
+        for line, text in enumerate(fh, start=1):
+            if not text.strip():
+                continue
+            fault = ndjson_line_fault(text)
+            if isinstance(fault, str):
+                return f"line {line}: {fault}"
+            label, monitored, packets = fault
+            times = [t for t, _ in packets]
+            faults = []
+            if max(times) - min(times) > INT64_MAX:
+                faults.append((0, 0, f"timestamps of trace {label!r} span more than "
+                                     "the int64 range"))
+            faults += [(i, 1, "zero-size packet; sizes must be non-zero")
+                       for i, (_, size) in enumerate(packets) if size == 0]
+            if (label == UNMONITORED_LABEL) == monitored:
+                faults.append((0, 2, f"monitored trace uses the reserved label {label!r}"
+                               if monitored else f"unmonitored trace labeled {label!r}; "
+                               f"expected {UNMONITORED_LABEL!r}"))
+            if faults:
+                return f"line {line}: {min(faults)[2]}"
+            pairs = sorted(packets, key=lambda p: p[0])
+            traces.append(Trace([t - pairs[0][0] for t, _ in pairs], [s for _, s in pairs],
+                                label, monitored))
+    return tuple(traces)
+
+
+def ndjson_line_fault(text):
+    """The first record fault of one ndjson line, or its label, flag and packets."""
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON: {exc.msg}"
+    if type(record) is not dict:
+        return "record is not a JSON object"
+    fields = {"label", "monitored", "packets"}
+    if set(record) - fields:
+        return f"unknown field(s): {', '.join(sorted(set(record) - fields))}"
+    if fields - set(record):
+        return f"missing field(s): {', '.join(sorted(fields - set(record)))}"
+    label, monitored, packets = record["label"], record["monitored"], record["packets"]
+    if type(label) is not str:
+        return "label must be a string"
+    if type(monitored) is not bool:
+        return "monitored must be a boolean"
+    if type(packets) is not list:
+        return "packets must be a list"
+    for entry in packets:
+        if type(entry) is not list or len(entry) != 2 or {type(v) for v in entry} != {int}:
+            return ("packet entries must be [timestamp_us, signed_size] "
+                    f"integer pairs, got {entry!r}")
+        if not all(INT64_MIN <= v <= INT64_MAX for v in entry):
+            return f"packet values must fit in int64, got {entry!r}"
+    if not packets:
+        return f"empty trace (label {label!r})"
+    return label, monitored, packets
+
+
+@settings(max_examples=300)  # as many as the csv property's three runs
+@given(body=ndjson_bodies())
+def test_ndjson_loader_agrees_with_json_module(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("ndjson") / "d.ndjson"
+    path.write_text(body, encoding="utf-8", newline="")
+    expected = reference_ndjson_load(path)
+    if isinstance(expected, str):
+        with pytest.raises(DatasetFormatError) as exc:
+            load_dataset(path, "ndjson")
+        assert str(exc.value) == expected
+    else:
+        assert load_dataset(path, "ndjson").traces == expected
 
 
 writer_labels = st.lists(st.sampled_from(
