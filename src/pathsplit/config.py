@@ -18,7 +18,7 @@ import functools
 import operator
 import types
 import typing
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from typing import Any
 
 _NOUNS = {int: "an integer", float: "a number", str: "a string"}
@@ -88,13 +88,9 @@ class Config:
     def to_dict(self) -> dict[str, Any]:
         """The fields by name, enums as their values and nested configs as
         their dicts."""
-        out = {}
-        for name in _hints(type(self)):
-            value = getattr(self, name)
-            if isinstance(value, enum.Enum):
-                value = value.value
-            out[name] = value.to_dict() if isinstance(value, Config) else value
-        return out
+        return asdict(self, dict_factory=lambda items: {
+            name: value.value if isinstance(value, enum.Enum) else value
+            for name, value in items})
 
     @classmethod
     def from_dict(cls, data: dict[str, Any], prefix: str = ""):

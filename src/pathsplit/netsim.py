@@ -7,8 +7,8 @@ bandwidth), losses are Bernoulli per packet, and everything is
 deterministic under the seed.
 
 Switch boundaries fall every switch_period_us; boundaries due by the end
-of a flight take effect before the next one, rotating the active path
-cyclically. Protocol behavior on a switch:
+of a flight take effect before the next one, and the path in use is the
+number of boundaries due mod the path count. Protocol behavior on a switch:
 
 * QuicMigration stalls for one RTT of the new path (path validation;
   skipped when validation caching is on and the path was validated
@@ -32,7 +32,7 @@ The flight loop recomputes nothing that depends only on the path. Each
 transfer builds one tuple of constants per path, so a switch is one
 unpack, and a flight lasts one RTT exactly when its bytes are at most
 rtt * bandwidth // 10**6, so only longer flights divide. The next
-boundary is a deadline, (boundaries done + 1) * period, which a flight
+boundary is a deadline, (boundaries due + 1) * period, which a flight
 compares with the clock; the boundary count is divided out only once the
 clock passes it. A flight that loses nothing costs one compare.
 """
@@ -150,25 +150,22 @@ def _run(
     gap = log(1.0 - next(uniforms)) / log_q if p else inf
     # cwnd/ssthresh are the active path's congestion state; on a switch
     # QUIC resets them (one connection-wide state) and WireGuard parks them
-    # in cwnds/ssthreshes and resumes the new path's own
+    # in states and resumes the new path's own
     cwnd = initial_cwnd
     ssthresh = inf
-    cwnds = [initial_cwnd] * len(paths)
-    ssthreshes = [inf] * len(paths)
+    states = [(initial_cwnd, inf)] * len(paths)
     validated = {0}
 
-    t = acked = path_index = boundaries_done = 0
-    # boundaries fall due once t // period > boundaries_done, that is once
-    # t >= (boundaries_done + 1) * period; never unswitched or on one path
+    t = acked = path_index = 0
+    # the next boundary falls due once t reaches next_switch, (boundaries
+    # due + 1) * period; never unswitched or on one path
     next_switch = inf if switch_period_us is None or len(paths) == 1 else switch_period_us
     while acked < total_bytes:
         if t >= next_switch:
             due = t // switch_period_us
             if not quic:
-                cwnds[path_index] = cwnd
-                ssthreshes[path_index] = ssthresh
-            path_index = (path_index + (due - boundaries_done)) % len(paths)
-            boundaries_done = due
+                states[path_index] = (cwnd, ssthresh)
+            path_index = due % len(paths)
             next_switch = (due + 1) * switch_period_us
             last_p = p
             rtt, bandwidth, one_rtt_bytes, p, log_q = constants[path_index]
@@ -181,8 +178,7 @@ def _run(
                 cwnd = initial_cwnd
                 ssthresh = inf
             else:
-                cwnd = cwnds[path_index]
-                ssthresh = ssthreshes[path_index]
+                cwnd, ssthresh = states[path_index]
 
         # cwnd never falls below one MSS, so a flight is at least
         # min(mss, bytes left)

@@ -38,14 +38,17 @@ trace so its first packet sits at t=0 with packets stably sorted by
 timestamp, and reject unknown fields or columns by name. The label
 "unmonitored" is reserved: traces with monitored=false must carry it and
 monitored traces must not. Building a :class:`Trace` checks the size,
-time and label rules; both loaders instead hand the file's columns to
+time and label rules. Both loaders instead share one skeleton: the
+file's int64 columns grow in place, each trace's first row and (label,
+monitored) are noted, and a record the parser refuses ends the read as
+a fault on its row. One finisher hands the columns before the fault to
 one builder, which sorts and rebases each trace in place, checks the
 span, size and label rules over whole columns and cuts read-only slices.
 
 Every packet is a row (an ndjson line holds its trace's rows), and
 every fault sits on a row: a zero size on its own, a trace's span or
-reserved label on its first. The loaders build the rows before a fault
-first, so the fault on the earliest row is named; on one row, parsing
+reserved label on its first. As the rows before a fault are built
+first, the fault on the earliest row is named; on one row, parsing
 comes first (ndjson: the JSON, fields, packet entries; csv: the column
 count, ``timestamp_us``, ``signed_size``), then the csv ``monitored``
 spelling, a label or flag change inside a trace or a reappearing
@@ -375,110 +378,109 @@ def _traces_from_columns(starts, heads, times: np.ndarray,
     ]
 
 
+def _finish(starts, heads, times: array, sizes: array, fault, line_of) -> list[Trace]:
+    """The traces a reader's columns hold, or its file's earliest fault as
+    a :class:`DatasetFormatError` on line_of(its row).
+
+    times and sizes are the int64 columns of the rows read, starts and
+    heads each trace's first row and (label, monitored), fault the
+    :class:`_RowError` that ended the read or None. The rows before the
+    fault are built first, so a rule they break is named instead.
+    """
+    rows = len(times) if fault is None else fault.row
+    k = bisect_left(starts, rows)
+    try:
+        traces = _traces_from_columns(starts[:k], heads[:k],
+                                      np.frombuffer(times, np.int64)[:rows],
+                                      np.frombuffer(sizes, np.int64)[:rows])
+    except _RowError as earlier:
+        fault = earlier
+    if fault is not None:
+        raise DatasetFormatError(str(fault), line_of(fault.row)) from None
+    return traces
+
+
 def _in_int64(value: int) -> bool:
     return INT64_MIN <= value <= INT64_MAX
 
 
-def _ndjson_columns(entries: list, line: int) -> tuple[np.ndarray, np.ndarray]:
+def _ndjson_columns(entries: list) -> tuple[np.ndarray, np.ndarray]:
     """``[[timestamp_us, signed_size], ...]`` as two int64 columns.
 
     The checks run as whole-list passes; only when one fails are the
     entries walked to name the first bad one.
     """
     if entries and (set(map(type, entries)) != {list} or set(map(len, entries)) != {2}):
-        raise _bad_ndjson_entry(entries, line)
+        raise _bad_ndjson_entry(entries)
     flat = list(chain.from_iterable(entries))
     if flat and set(map(type, flat)) != {int}:  # bool is its own type
-        raise _bad_ndjson_entry(entries, line)
+        raise _bad_ndjson_entry(entries)
     try:
         pairs = np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
     except OverflowError:
-        raise _bad_ndjson_entry(entries, line) from None
+        raise _bad_ndjson_entry(entries) from None
     return pairs[:, 0], pairs[:, 1]
 
 
-def _bad_ndjson_entry(entries: list, line: int) -> DatasetFormatError:
+def _bad_ndjson_entry(entries: list) -> ValueError:
     """The error naming the first bad entry; entries must hold one."""
     for entry in entries:
-        if not (
-            type(entry) is list
-            and len(entry) == 2
-            and all(type(v) is int for v in entry)
-        ):
-            return DatasetFormatError(
-                "packet entries must be [timestamp_us, signed_size] "
-                f"integer pairs, got {entry!r}",
-                line,
-            )
+        if type(entry) is not list or len(entry) != 2 or {*map(type, entry)} != {int}:
+            return ValueError("packet entries must be [timestamp_us, signed_size] "
+                              f"integer pairs, got {entry!r}")
         if not all(map(_in_int64, entry)):
-            return DatasetFormatError(
-                f"packet values must fit in int64, got {entry!r}", line
-            )
+            return ValueError(f"packet values must fit in int64, got {entry!r}")
 
 
 def _read_ndjson(path) -> list[Trace]:
-    lines: list[int] = []
-    starts: list[int] = []
-    heads: list[tuple[str, bool]] = []
+    lines, starts, heads = [], [], []  # each trace's line, first row, (label, monitored)
     # the file's columns grow in place, so no line's packets are held twice
     times, sizes = array("q"), array("q")
+    fault = None
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                label, monitored, line_times, line_sizes = _ndjson_record(line, lineno)
-                lines.append(lineno)
-                starts.append(len(times))
-                heads.append((label, monitored))
-                times.frombytes(line_times.tobytes())
-                sizes.frombytes(line_sizes.tobytes())
-        except DatasetFormatError:
-            # a trace on an earlier line that breaks a rule comes first
-            _ndjson_traces(lines, starts, heads, times, sizes)
-            raise
-    return _ndjson_traces(lines, starts, heads, times, sizes)
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            lines.append(lineno)  # before the parse, so its fault maps to this line
+            starts.append(len(times))
+            try:
+                label, monitored, line_times, line_sizes = _ndjson_record(line)
+            except ValueError as exc:
+                fault = _RowError(str(exc), len(times))
+                break
+            heads.append((label, monitored))
+            times.frombytes(line_times.tobytes())
+            sizes.frombytes(line_sizes.tobytes())
+    return _finish(starts, heads, times, sizes, fault,
+                   lambda row: lines[bisect_right(starts, row) - 1])
 
 
-def _ndjson_record(line: str, lineno: int):
-    """One ndjson line's label, monitored flag, times and sizes."""
+def _ndjson_record(line: str):
+    """One ndjson line's label, monitored flag, times and sizes; ValueError
+    names its first fault."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"invalid JSON: {exc.msg}", lineno) from None
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
     if not isinstance(obj, dict):
-        raise DatasetFormatError("record is not a JSON object", lineno)
+        raise ValueError("record is not a JSON object")
     unknown = sorted(set(obj) - set(NDJSON_FIELDS))
     if unknown:
-        raise DatasetFormatError(
-            f"unknown field(s): {', '.join(unknown)}", lineno
-        )
+        raise ValueError(f"unknown field(s): {', '.join(unknown)}")
     missing = sorted(set(NDJSON_FIELDS) - set(obj))
     if missing:
-        raise DatasetFormatError(
-            f"missing field(s): {', '.join(missing)}", lineno
-        )
+        raise ValueError(f"missing field(s): {', '.join(missing)}")
     label, monitored, packets = obj["label"], obj["monitored"], obj["packets"]
     if not isinstance(label, str):
-        raise DatasetFormatError("label must be a string", lineno)
+        raise ValueError("label must be a string")
     if not isinstance(monitored, bool):
-        raise DatasetFormatError("monitored must be a boolean", lineno)
+        raise ValueError("monitored must be a boolean")
     if not isinstance(packets, list):
-        raise DatasetFormatError("packets must be a list", lineno)
-    times, sizes = _ndjson_columns(packets, lineno)
+        raise ValueError("packets must be a list")
+    times, sizes = _ndjson_columns(packets)
     if not len(times):
-        raise DatasetFormatError(f"empty trace (label {label!r})", lineno)
+        raise ValueError(f"empty trace (label {label!r})")
     return label, monitored, times, sizes
-
-
-def _ndjson_traces(lines, starts, heads, times: array, sizes: array) -> list[Trace]:
-    """The traces of the ndjson lines read so far; a refusal names its line."""
-    try:
-        return _traces_from_columns(
-            starts, heads, np.frombuffer(times, np.int64), np.frombuffer(sizes, np.int64)
-        )
-    except _RowError as exc:
-        raise DatasetFormatError(str(exc), lines[bisect_right(starts, exc.row) - 1]) from None
 
 
 @contextlib.contextmanager
@@ -574,9 +576,9 @@ def _parse_int(value: str, column: str) -> int:
 def _read_csv(path) -> list[Trace]:
     """The traces of a csv file: one checker over either parser's blocks."""
     starts, tids, heads = [], [], []  # each trace's first row, trace_id, (label, monitored)
-    time_blocks, size_blocks = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    times, sizes = array("q"), array("q")  # the file's columns, grown in place
     previous = (None, None, False)  # trace_id, label, monitored of the last row
-    n = 0  # the rows checked
+    fault = None
     with open(path, "r", encoding="utf-8", newline="") as fh, _fields_of_any_size():
         header = next(csv.reader(fh), None)
         if header is None:
@@ -585,7 +587,6 @@ def _read_csv(path) -> list[Trace]:
             unknown = sorted(set(header) - set(CSV_COLUMNS))
             raise DatasetFormatError(f"unknown column(s): {', '.join(unknown)}" if unknown
                                      else f"header must be exactly {','.join(CSV_COLUMNS)}", 1)
-        fault = None
         try:
             with contextlib.closing(_csv_blocks(fh, path)) as blocks:
                 for block in blocks:
@@ -595,20 +596,18 @@ def _read_csv(path) -> list[Trace]:
                     inner = _changes(labels, previous[1]) | _changes(flags, previous[2])
                     faulty = ~spelled | (inner & ~new)
                     end = int(faulty.argmax()) if faulty.any() else len(block)
-                    # copies: a field view pins the whole block, a kept str its strs' memory
-                    time_blocks.append(block["timestamp_us"][:end].copy())
-                    size_blocks.append(block["signed_size"][:end].copy())
+                    # copies: a kept str pins its block's strs' memory
                     for i in np.flatnonzero(new[:end]).tolist():
-                        starts.append(n + i)
+                        starts.append(len(times) + i)
                         tids.append(block_tids[i].encode().decode())
                         heads.append((labels[i].encode().decode(), bool(flags[i])))
-                    n += end
-                    if end < len(block) and not spelled[end]:
-                        raise _RowError("monitored must be true/false, got "
-                                        f"{block['monitored'][end]!r}", n)
+                    times.frombytes(block["timestamp_us"][:end].tobytes())
+                    sizes.frombytes(block["signed_size"][:end].tobytes())
                     if end < len(block):
                         raise _RowError(f"trace {block_tids[end]!r} changes label or "
-                                        "monitored flag mid-group", n)
+                                        "monitored flag mid-group" if spelled[end] else
+                                        "monitored must be true/false, got "
+                                        f"{block['monitored'][end]!r}", len(times))
                     previous = (block_tids[-1], labels[-1], flags[-1])
         except _RowError as exc:
             fault = exc
@@ -618,17 +617,7 @@ def _read_csv(path) -> list[Trace]:
             t = next(i for i, tid in enumerate(tids) if first.setdefault(tid, i) != i)
             fault = _RowError(f"trace_id {tids[t]!r} reappears after another trace_id; "
                               "each trace's rows must be contiguous", starts[t])
-        # the rows before a fault are built first, so a fault on an earlier row is named
-        rows = n if fault is None else fault.row
-        k = bisect_left(starts, rows)
-        times, sizes = (np.concatenate(parts)[:rows] for parts in (time_blocks, size_blocks))
-        try:
-            traces = _traces_from_columns(starts[:k], heads[:k], times, sizes)
-        except _RowError as earlier:
-            fault = earlier
-        if fault is not None:
-            raise DatasetFormatError(str(fault), _csv_line(path, fault.row))
-    return traces
+        return _finish(starts, heads, times, sizes, fault, lambda row: _csv_line(path, row))
 
 
 def _csv_flags(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

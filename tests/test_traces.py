@@ -603,15 +603,16 @@ def test_csv_checks_hold_across_parse_blocks(tmp_path, monkeypatch, block_rows):
 
 def test_csv_load_memory_stays_near_the_loaded_columns(tmp_path):
     # the loaded int64 columns take 16 B per packet; 512-row parse blocks
-    # peak at about 35 B, a whole-file parse at about 355 B
-    assert csv_load_peak_per_packet(tmp_path, csv_reader_pass=False) < 64
+    # whose rows the columns take in place peak at about 21 B, a
+    # whole-file parse at about 355 B
+    assert csv_load_peak_per_packet(tmp_path, csv_reader_pass=False) < 32
 
 
 def test_csv_reader_pass_memory_stays_near_the_loaded_columns(tmp_path):
     # a size spelled with an underscore in the first row, which only int()
     # takes, sends the whole file through csv.reader and int(); their
-    # blocks peak at about 37 B per packet, Python int lists at about 88 B
-    assert csv_load_peak_per_packet(tmp_path, csv_reader_pass=True) < 64
+    # blocks peak at about 22 B per packet, Python int lists at about 88 B
+    assert csv_load_peak_per_packet(tmp_path, csv_reader_pass=True) < 32
 
 
 def csv_load_peak_per_packet(tmp_path, csv_reader_pass):
