@@ -392,6 +392,37 @@ def test_benchmark_corpora_keep_the_dense_labels(corpus, config):
     assert 0 < labels.count(UNMONITORED_LABEL) < len(labels)
 
 
+def stacked_model(train, k=3, threshold_quantile=0.95):
+    """train_classifier's model by the rule before the feature matrix:
+    extract_features row by row, stacked, standardized out of place."""
+    features = np.stack([extract_features(t) for t in train])
+    mean = features.mean(axis=0)
+    std = features.std(axis=0)
+    std[std == 0.0] = 1.0
+    mon_idx = [i for i, t in enumerate(train) if t.monitored]
+    exemplars = (features[mon_idx] - mean) / std
+    sq_norms = (exemplars**2).sum(axis=1)
+    _, dists = wf_eval._nearest(exemplars, sq_norms, exemplars, k + 1)
+    tau = float(np.quantile(dists[:, k], threshold_quantile))
+    labels = tuple(train[i].label for i in mon_idx)
+    return Classifier(mean, std, exemplars, labels, k, tau)
+
+
+@pytest.mark.parametrize("corpus, config", [
+    (LONG_TRACES, None), (LONG_TRACES, WR_3_50),
+    (MANY_TRACES, None), (MANY_TRACES, WR_5_20MS),
+])
+def test_training_model_equals_the_stacked_per_row_features(corpus, config):
+    train, _ = benchmark_rows(*corpus, config)
+    model = train_classifier(Dataset.from_traces(train))
+    reference = stacked_model(train)
+    for name in ("mean", "std", "exemplars"):
+        got, want = getattr(model, name), getattr(reference, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert model.labels == reference.labels
+    assert np.float64(model.tau).tobytes() == np.float64(reference.tau).tobytes()
+
+
 def test_training_memory_stays_within_row_blocks():
     train, _ = benchmark_rows(*MANY_TRACES, WR_5_20MS)
     dataset = Dataset.from_traces(train)
@@ -561,3 +592,63 @@ def test_size_histogram_matches_numpy_histogram():
     reference, _ = np.histogram(np.clip(sizes, 0, 1500.0), bins=10, range=(0.0, 1500.0))
     assert np.array_equal(extract_features(trace)[-10:], reference / len(sizes))
 
+
+def long_trace(n):
+    """n packets one microsecond apart, sizes cycling through both
+    directions and the histogram's first, middle and last bins."""
+    return Trace(np.arange(n), np.resize([1, -1500, 700, -149, 9000], n), "a", True)
+
+
+PACKET = st.tuples(
+    st.integers(0, 2**62),
+    st.one_of(
+        st.sampled_from([1, 149, 150, 151, 1349, 1350, 1499, 1500, 1501, 9000]),
+        st.integers(1, 2**40),  # 40 such packets stay far below 2**53 bytes
+    ),
+    st.booleans(),
+)
+FEATURE_TRACES = st.lists(
+    st.one_of(
+        *(st.lists(PACKET, min_size=n, max_size=n) for n in (0, 1, 29, 30, 31)),
+        st.lists(PACKET, max_size=40),
+    ),
+    max_size=6,
+)
+
+
+@given(
+    before=FEATURE_TRACES,
+    after=FEATURE_TRACES,
+    long=st.booleans(),
+    edge=st.booleans(),
+    chunk=st.sampled_from([1, 7, wf_eval._CHUNK_PACKETS]),
+)
+# test_byte_features_do_not_wrap's traces: 2**63 bytes, each sum exact
+@example(before=[[(0, 2**62, True), (1, 2**62, True)]], after=[], long=False,
+         edge=False, chunk=wf_eval._CHUNK_PACKETS)
+@example(before=[[(0, 2**63, False)]], after=[], long=False, edge=False,
+         chunk=wf_eval._CHUNK_PACKETS)
+@example(before=[[(5, 100, True)] * 3, []], after=[[(0, 1500, False)]], long=True,
+         edge=True, chunk=wf_eval._CHUNK_PACKETS)
+@example(before=[[(5, 100, True)] * 3], after=[[(0, 1500, False)]], long=False,
+         edge=True, chunk=7)
+def test_feature_matrix_equals_stacked_extract_features(before, after, long, edge, chunk):
+    """Each row of training's matrix is extract_features of its trace, bit
+    for bit, for byte totals below 2**53 (the two examples at 2**63 sum
+    exactly too). From 2**53 on they can part: reduceat adds in order,
+    np.sum pairwise, and float64 sums of such sizes round."""
+    def trace(packets):
+        times = sorted(t for t, _, _ in packets)
+        return Trace(times, [s if out else -s for _, s, out in packets], "a", True)
+
+    traces = [trace(p) for p in before]
+    if edge:  # the packets so far end exactly on a chunk edge
+        traces.append(long_trace(-sum(map(len, traces)) % chunk))
+    if long:
+        traces.append(long_trace(chunk + 1))
+    traces += [trace(p) for p in after]
+    with mock.patch.object(wf_eval, "_CHUNK_PACKETS", chunk):
+        matrix = wf_eval._feature_matrix(traces)
+    reference = np.array([extract_features(t) for t in traces]).reshape(-1, FEATURE_DIM)
+    assert matrix.shape == reference.shape
+    assert np.array_equal(matrix.view(np.int64), reference.view(np.int64))
