@@ -442,7 +442,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         config["scheduler"] = scheduler
     elif args.subcommand == "overhead":
         try:
-            config["periods_ms"] = [int(p) for p in args.periods.split(",") if p]
+            config["periods_ms"] = [int(p) for p in args.periods.split(",")]
         except ValueError:
             raise UsageError(
                 f"--periods must be a comma list of integers, got {args.periods!r}"

@@ -672,7 +672,15 @@ def test_evaluate_context_defense_runs_and_replays(small_corpus, tmp_path):
     (["split", "--strategy", "wr", "--window-ms", "20"], "--window-ms requires --boundary time"),
     (["overhead", "--protocol", "quic", "--periods", "10,x"],
      "--periods must be a comma list of integers, got '10,x'"),
-], ids=["defense-paths", "defense-frequency", "window-without-time", "periods"])
+    # an empty field is refused, not skipped
+    (["overhead", "--protocol", "quic", "--periods", "5,,100"],
+     "--periods must be a comma list of integers, got '5,,100'"),
+    (["overhead", "--protocol", "quic", "--periods", "5,100,"],
+     "--periods must be a comma list of integers, got '5,100,'"),
+    (["overhead", "--protocol", "quic", "--periods", ",5"],
+     "--periods must be a comma list of integers, got ',5'"),
+], ids=["defense-paths", "defense-frequency", "window-without-time", "periods",
+        "periods-empty-inner", "periods-empty-last", "periods-empty-first"])
 def test_flags_refused_before_the_config_exit_2(small_corpus, tmp_path, capsys,
                                                 argv, message):
     if argv[0] != "overhead":

@@ -67,6 +67,15 @@ def test_rapid_quic_switching_pins_connection_in_slow_start():
     assert result.throughput_bytes_per_s < 0.25 * baseline.throughput_bytes_per_s
 
 
+def test_lossless_quic_restarts_cost_one_stall_and_rtt_each():
+    # each 5 ms period ends inside the 50 ms stall plus 50 ms flight, so
+    # every flight after the first restarts at 15,000 bytes: 10,000 MB is
+    # 666,667 flights, taken in one fast-forward
+    flights = -(-netsim.MAX_TOTAL_BYTES // 15_000)
+    result = simulate_transfer(paths(), QUIC, 5_000, netsim.MAX_TOTAL_BYTES)
+    assert result.elapsed_us == RTT + (flights - 1) * 2 * RTT
+
+
 def test_wireguard_persistent_state_keeps_overhead_low():
     # per-path congestion state persists, so any period >= RTT costs only
     # the extra slow starts, bounded well under the no-loss ceiling
@@ -386,15 +395,28 @@ def _reference_run(paths, sender, switch_period_us, total_bytes, rng):
 def transfers(draw):
     """(paths, sender, switch period, total bytes): 1-4 paths of any loss
     below 0.99, windows up to 4,000 packets, and lengths kept to some
-    20,000 segments, fewer the lossier the worst path."""
-    losses = draw(st.lists(st.floats(0.0, 0.99, exclude_max=True), min_size=1, max_size=4))
-    models = [
-        PathModel(rtt_us=draw(st.integers(1, 200_000)),
-                  bandwidth_bytes_per_s=draw(st.integers(10_000, 100_000_000)),
-                  loss_rate=loss)
-        for loss in losses
-    ]
-    protocol = draw(st.sampled_from(Protocol))
+    20,000 segments, fewer the lossier the worst path. Half the draws are
+    QUIC over one path repeated 2-4 times, the only paths whose restart
+    flights _run fast-forwards, with periods on both sides of its step:
+    the next switch's stall plus one initial-window flight."""
+    equal = draw(st.booleans())
+    if equal:
+        loss = draw(st.just(0.0) | st.floats(0.0, 0.05)
+                    | st.floats(0.0, 0.99, exclude_max=True))
+        models = [PathModel(rtt_us=draw(st.integers(1, 200_000)),
+                            bandwidth_bytes_per_s=draw(st.integers(10_000, 100_000_000)),
+                            loss_rate=loss)] * draw(st.integers(2, 4))
+        protocol = Protocol.QUIC_MIGRATION
+    else:
+        losses = draw(st.lists(st.floats(0.0, 0.99, exclude_max=True),
+                               min_size=1, max_size=4))
+        models = [
+            PathModel(rtt_us=draw(st.integers(1, 200_000)),
+                      bandwidth_bytes_per_s=draw(st.integers(10_000, 100_000_000)),
+                      loss_rate=loss)
+            for loss in losses
+        ]
+        protocol = draw(st.sampled_from(Protocol))
     sender = SenderModel(
         protocol=protocol,
         initial_cwnd_packets=draw(st.integers(1, 4000)),
@@ -402,8 +424,15 @@ def transfers(draw):
         # only a QUIC sender caches validated paths
         validation_cache=protocol is Protocol.QUIC_MIGRATION and draw(st.booleans()),
     )
-    period = draw(st.none() | st.integers(1, 300_000))
-    most = max(1, int(20_000 * (1.0 - max(losses)) ** 2))
+    if equal:
+        path = models[0]
+        flight = sender.initial_cwnd_packets * sender.mss_bytes
+        flight_us = max(path.rtt_us, -(-flight * 1_000_000 // path.bandwidth_bytes_per_s))
+        step = (0 if sender.validation_cache else path.rtt_us) + flight_us
+        period = draw(st.integers(max(1, step - 2), step + 2) | st.integers(1, 2 * step))
+    else:
+        period = draw(st.none() | st.integers(1, 300_000))
+    most = max(1, int(20_000 * (1.0 - max(path.loss_rate for path in models)) ** 2))
     return models, sender, period, draw(st.integers(1, most)) * sender.mss_bytes
 
 
@@ -440,6 +469,25 @@ ONE_RTT_1500 = PathModel(rtt_us=150_050, bandwidth_bytes_per_s=10_000, loss_rate
                     UNLIKE[1]], WG, 15_000, 2 * MB), seed=4)
 # every switch restarts QUIC at 10 packets, whatever the path's loss rate
 @example(transfer=(UNLIKE, QUIC_CACHED, 20_000, 2 * MB), seed=5)
+# equal paths, where each restart flight (50 ms) plus the next stall
+# (50 ms) is a step: a period of one step takes the fast-forward, one
+# microsecond more does not
+@example(transfer=(paths(2, 0.01), QUIC, 2 * RTT, 2 * MB), seed=6)
+@example(transfer=(paths(2, 0.01), QUIC, 2 * RTT + 1, 2 * MB), seed=6)
+# lossless equal paths: an infinite gap, so only the bytes bound the run,
+# and 2 MB leaves a last flight of 5,000 bytes
+@example(transfer=(paths(3), QUIC, 20_000, 2 * MB), seed=7)
+# the total is 30 flights of 15,000 bytes: the last restart flight ends
+# the transfer, and no switch follows it
+@example(transfer=(paths(2), QUIC, 5_000, 30 * 15_000), seed=8)
+# a 150,000-byte initial window serializes for 120 ms, above the 62,500
+# bytes of one RTT: the step is 170 ms
+@example(transfer=(paths(2, 0.001), SenderModel(Protocol.QUIC_MIGRATION,
+                                                initial_cwnd_packets=100),
+                   170_000, 5 * MB), seed=9)
+# cached, the step is one 50 ms flight once every path is validated; the
+# third path is first validated at 250 ms, with restarts under way
+@example(transfer=(paths(3, 0.01), QUIC_CACHED, 50_000, 2 * MB), seed=10)
 @settings(max_examples=300)
 def test_run_loses_what_the_packet_by_packet_oracle_loses(transfer, seed):
     paths_, sender, period, total_bytes = transfer
