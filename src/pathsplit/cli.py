@@ -182,6 +182,8 @@ class OverheadConfig(Config):
         require(self, "seed", 0 <= self.seed < SEED_LIMIT, SEED_RULE)
         require(self, "periods_ms", all(p >= 1 for p in self.periods_ms),
                 "finite periods of at least 1 ms")
+        require(self, "periods_ms", len(set(self.periods_ms)) == len(self.periods_ms),
+                "distinct")
         if not self.periods_ms:
             raise ValueError("need at least one switching period")
         require(self, "reps", self.reps >= 1, ">= 1")
@@ -439,6 +441,8 @@ def _dispatch(args: argparse.Namespace) -> None:
             raise UsageError("--boundary time requires --window-ms")
         if scheduler["boundary"] == "packets" and args.window_ms is not None:
             raise UsageError("--window-ms requires --boundary time")
+        if scheduler["boundary"] == "time" and args.batch_packets is not None:
+            raise UsageError("--batch-packets requires --boundary packets")
         config["scheduler"] = scheduler
     elif args.subcommand == "overhead":
         try:

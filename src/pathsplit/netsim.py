@@ -157,12 +157,11 @@ def _run(
     rtt, bandwidth, one_rtt_bytes, p, log_q = constants[0]
     # the packets the active path delivers before its next loss
     gap = log(1.0 - next(uniforms)) / log_q if p else inf
-    # cwnd/ssthresh are the active path's congestion state; on a switch
-    # QUIC resets them (one connection-wide state) and WireGuard parks them
-    # in states and resumes the new path's own
-    cwnd = initial_cwnd
-    ssthresh = inf
+    # cwnd/ssthresh are the active path's congestion state; a switch resumes
+    # the new path's entry of states, where WireGuard parks the old path's
+    # state first and QUIC never writes, so QUIC resumes the initial window
     states = [(initial_cwnd, inf)] * len(paths)
+    cwnd, ssthresh = states[0]
     validated = {0}
 
     # QUIC's fast-forward (module docstring): on like paths a restart
@@ -186,14 +185,13 @@ def _run(
             next_switch = (due + 1) * switch_period_us
             last_p = p
             rtt, bandwidth, one_rtt_bytes, p, log_q = constants[path_index]
+            cwnd, ssthresh = states[path_index]
             if p != last_p:
                 gap = log(1.0 - next(uniforms)) / log_q if p else inf
             if quic:
                 if not (validation_cache and path_index in validated):
                     t += rtt  # path validation stall
                 validated.add(path_index)
-                cwnd = initial_cwnd
-                ssthresh = inf
                 if leap and (not validation_cache or len(validated) == len(paths)):
                     # the next k flights lose nothing and each leaves bytes
                     # for the switch after it; the kth switch fell at t - stall
@@ -207,8 +205,6 @@ def _run(
                         due = (t - stall) // switch_period_us
                         path_index = due % len(paths)
                         next_switch = (due + 1) * switch_period_us
-            else:
-                cwnd, ssthresh = states[path_index]
 
         # cwnd never falls below one MSS, so a flight is at least
         # min(mss, bytes left)
@@ -291,17 +287,19 @@ def sweep_frequencies(
     repetitions: int = 10,
     seed: int = 0,
 ) -> list[SweepPoint]:
-    """Mean overhead per switching period over seeded repetitions; each
-    repetition's unswitched transfer is the baseline of every period.
-    seed lies in rand's range, [0, rand.SEED_LIMIT); repetition r
-    transfers on a seed drawn from the stream (seed, r), whatever the
-    repetition count."""
+    """Mean overhead per distinct switching period over seeded
+    repetitions; each repetition's unswitched transfer is the baseline of
+    every period. seed lies in rand's range, [0, rand.SEED_LIMIT);
+    repetition r transfers on a seed drawn from the stream (seed, r),
+    whatever the repetition count."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if len(periods_us) == 0:
         raise ValueError("need at least one switching period")
     if min(periods_us) < 1:  # before any transfer runs
         raise ValueError(f"switch_period_us must be >= 1, got {min(periods_us)}")
+    if len(set(periods_us)) != len(periods_us):
+        raise ValueError(f"switching periods must be distinct, got {list(periods_us)}")
     seeds = [int(stream_rng(seed, _STREAM_NETSIM, rep).integers(SEED_LIMIT))
              for rep in range(repetitions)]
     base = [simulate_transfer(paths, sender, None, total_bytes, s) for s in seeds]

@@ -57,10 +57,9 @@ def merge(subtraces: list[Trace]) -> Trace:
         raise ValueError("nothing to merge")
     times = np.concatenate([t.times_us for t in subtraces])
     sizes = np.concatenate([t.signed_size for t in subtraces])
-    lengths = [len(t) for t in subtraces]
-    path = np.repeat(np.arange(len(subtraces)), lengths)
-    rank = np.concatenate([np.arange(n) for n in lengths])
-    order = np.lexsort((rank, path, times))
+    # the columns are concatenated in (path, intra-path) order, so a stable
+    # sort by timestamp breaks ties by path, then intra-path order
+    order = np.argsort(times, kind="stable")
     first = subtraces[0]
     return Trace(times[order], sizes[order], first.label, first.monitored)
 

@@ -255,13 +255,13 @@ def train_classifier(
         raise ValueError(f"k must be >= 1, got {k}")
     if not (0.0 < threshold_quantile <= 1.0):
         raise ValueError(f"threshold_quantile must be in (0, 1], got {threshold_quantile}")
-    monitored_labels = {t.label for t in train.traces if t.monitored}
-    unmonitored = sum(1 for t in train.traces if not t.monitored)
-    if len(monitored_labels) < 2:
+    mon_idx = [i for i, t in enumerate(train.traces) if t.monitored]
+    labels = tuple(train.traces[i].label for i in mon_idx)
+    if len(set(labels)) < 2:
         raise ValueError(
-            f"degenerate training set: {len(monitored_labels)} monitored class(es)"
+            f"degenerate training set: {len(set(labels))} monitored class(es)"
         )
-    if unmonitored == 0:
+    if len(mon_idx) == len(train.traces):
         raise ValueError("degenerate training set: no unmonitored traces")
 
     features = _feature_matrix(train.traces)
@@ -271,12 +271,10 @@ def train_classifier(
 
     # only the exemplars are standardized, in place, and the feature matrix
     # is freed before the search makes its screen buffer
-    mon_idx = [i for i, t in enumerate(train.traces) if t.monitored]
     exemplars = features[mon_idx]
     del features
     exemplars -= mean
     exemplars /= std
-    labels = tuple(train.traces[i].label for i in mon_idx)
     m = len(exemplars)
     if m <= k:
         raise ValueError(f"need more than k={k} monitored exemplars, have {m}")
@@ -481,6 +479,23 @@ def tally_predictions(
 # End-to-end pipeline
 
 
+def _defended_rows(
+    dataset: Dataset, scheduler_config: SchedulerConfig | None, seed: int
+) -> tuple[list[Trace], list[Trace]]:
+    """evaluate_defense's (train, test) rows: each parent in index order on
+    its split_indices side, itself if undefended, else its non-empty subtraces."""
+    test = set(split_indices(dataset, seed)[1])
+    sides: tuple[list[Trace], list[Trace]] = ([], [])
+    for i, trace in enumerate(dataset.traces):
+        rows = sides[i in test]
+        if scheduler_config is None:
+            rows.append(trace)
+        else:
+            paths = schedule(trace, scheduler_config, trace_index=i)
+            rows.extend(s for s in split(trace, paths, scheduler_config.n_paths) if len(s))
+    return sides
+
+
 def evaluate_defense(
     dataset: Dataset,
     scheduler_config: SchedulerConfig | None = None,
@@ -493,27 +508,12 @@ def evaluate_defense(
     """Run the full attack against an optionally defended dataset.
 
     Parent traces are 9:1-split first so all subtraces of one fetch stay
-    on the same side (no leakage across train/test); each side is then
-    split per the scheduler config (empty subtraces dropped), the
-    classifier trains on the train subtraces, and test subtraces are
-    scored individually. Fully deterministic under (dataset, config, seed).
+    on the same side (no leakage across train/test); each parent is split
+    once, in index order, onto its side (empty subtraces dropped), the
+    classifier trains on the train rows, and test rows are scored one by
+    one. Fully deterministic under (dataset, config, seed).
     """
-    train_idx, test_idx = split_indices(dataset, seed)
-
-    def expand(indices: Sequence[int]) -> list[Trace]:
-        rows: list[Trace] = []
-        for i in indices:
-            trace = dataset.traces[i]
-            if scheduler_config is None:
-                rows.append(trace)
-                continue
-            paths = schedule(trace, scheduler_config, trace_index=i)
-            rows.extend(sub for sub in split(trace, paths, scheduler_config.n_paths)
-                        if len(sub))
-        return rows
-
-    train_rows = expand(train_idx)
-    test_rows = expand(test_idx)
+    train_rows, test_rows = _defended_rows(dataset, scheduler_config, seed)
     model = train_classifier(
         Dataset.from_traces(train_rows), k=k, threshold_quantile=threshold_quantile
     )

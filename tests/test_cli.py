@@ -501,6 +501,7 @@ BAD_FLAG_VALUES = [
     ["evaluate", "--defense", "wr:3:50", "--alpha", "inf"],
     ["evaluate", "--defense", "none", "--seed", str(2**63)],
     ["overhead", "--periods", "5,10,20,50,0"],
+    ["overhead", "--periods", "5,5,10"],
     ["overhead", "--periods", "10", "--reps", "0"],
     ["overhead", "--periods", "10", "--paths", "0"],
     ["overhead", "--periods", "10", "--paths", "100000"],
@@ -670,6 +671,8 @@ def test_evaluate_context_defense_runs_and_replays(small_corpus, tmp_path):
     (["evaluate", "--defense", "wr:x:50"], "path count 'x' is not an integer"),
     (["evaluate", "--defense", "wr:3:x"], "bad frequency 'x' in defense spec"),
     (["split", "--strategy", "wr", "--window-ms", "20"], "--window-ms requires --boundary time"),
+    (["split", "--strategy", "wr", "--boundary", "time", "--window-ms", "20",
+      "--batch-packets", "50"], "--batch-packets requires --boundary packets"),
     (["overhead", "--protocol", "quic", "--periods", "10,x"],
      "--periods must be a comma list of integers, got '10,x'"),
     # an empty field is refused, not skipped
@@ -679,8 +682,8 @@ def test_evaluate_context_defense_runs_and_replays(small_corpus, tmp_path):
      "--periods must be a comma list of integers, got '5,100,'"),
     (["overhead", "--protocol", "quic", "--periods", ",5"],
      "--periods must be a comma list of integers, got ',5'"),
-], ids=["defense-paths", "defense-frequency", "window-without-time", "periods",
-        "periods-empty-inner", "periods-empty-last", "periods-empty-first"])
+], ids=["defense-paths", "defense-frequency", "window-without-time", "batch-with-time",
+        "periods", "periods-empty-inner", "periods-empty-last", "periods-empty-first"])
 def test_flags_refused_before_the_config_exit_2(small_corpus, tmp_path, capsys,
                                                 argv, message):
     if argv[0] != "overhead":

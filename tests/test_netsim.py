@@ -250,6 +250,15 @@ def test_sweep_refuses_a_period_below_1us_before_any_transfer(monkeypatch):
     assert runs == []
 
 
+def test_sweep_refuses_a_repeated_period_before_any_transfer(monkeypatch):
+    runs = []
+    monkeypatch.setattr(netsim, "_run", lambda *args: runs.append(args) or (1, 1))
+    with pytest.raises(ValueError, match=r"^switching periods must be distinct, "
+                                         r"got \[5000, 5000, 10000\]$"):
+        sweep_frequencies(paths(), QUIC, [5_000, 5_000, 10_000], MB, repetitions=3)
+    assert runs == []
+
+
 def test_sender_protocol_takes_its_value_string():
     # "quic" once built a sender that simulated WireGuard roaming
     assert SenderModel(protocol="quic") == QUIC

@@ -1,15 +1,18 @@
 """The package's public surface: every exported name exists, once, its
-version is the one pyproject.toml declares, no module or test file
-imports a name it never reads, every private module-level name of
-the package is read somewhere in it, and no module reads ``.packets``."""
+version is the one pyproject.toml declares, its console script is
+``pathsplit.cli.main``, no module or test file imports a name it never
+reads, every private module-level name of the package is read somewhere
+in it, and no module reads ``.packets``."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
 import pathsplit
+import pathsplit.cli
 
 
 def test_all_names_resolve_once():
@@ -19,12 +22,27 @@ def test_all_names_resolve_once():
     assert missing == []
 
 
+def _pyproject_string(table: str, key: str) -> str:
+    """The string pyproject.toml gives key in [table]."""
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    header = rf"^\[{re.escape(table)}\]\n"
+    body = re.search(header + r"(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    return re.search(rf'^{re.escape(key)}\s*=\s*"([^"]*)"', body, re.M).group(1)
+
+
 def test_pyproject_declares_the_package_version():
     # a version bump edits both by hand
-    text = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
-    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
-    declared = re.search(r'^version\s*=\s*"([^"]*)"', project, re.M).group(1)
-    assert declared == pathsplit.__version__
+    assert _pyproject_string("project", "version") == pathsplit.__version__
+
+
+def test_console_script_is_cli_main_and_prints_the_version(capsys):
+    module, _, attr = _pyproject_string("project.scripts", "pathsplit").partition(":")
+    main = getattr(importlib.import_module(module), attr)
+    assert main is pathsplit.cli.main
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == f"{pathsplit.__version__}\n"
 
 
 def test_star_import():

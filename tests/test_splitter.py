@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pathsplit.rand import stream_rng
 from pathsplit.scheduler import (
@@ -98,6 +101,29 @@ def test_merge_tie_break_by_path_then_order():
     trace = mk_trace([(5, 100), (5, -200)])
     subs = split(trace, [0, 1], 2)
     assert merge(subs) == trace
+
+
+def lexsort_merge(subtraces):
+    """merge's order by the explicit rule: timestamp, then path index, then
+    intra-path order."""
+    times = np.concatenate([t.times_us for t in subtraces])
+    sizes = np.concatenate([t.signed_size for t in subtraces])
+    lengths = [len(t) for t in subtraces]
+    path = np.repeat(np.arange(len(subtraces)), lengths)
+    rank = np.concatenate([np.arange(n) for n in lengths])
+    order = np.lexsort((rank, path, times))
+    return Trace(times[order], sizes[order], subtraces[0].label, subtraces[0].monitored)
+
+
+# a narrow clock, so equal timestamps are common within and across paths
+sorted_subtraces = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(-3, 3).filter(bool)), max_size=8
+).map(lambda pairs: mk_trace(sorted(pairs, key=lambda p: p[0])))
+
+
+@given(subtraces=st.lists(sorted_subtraces, min_size=1, max_size=5))
+def test_merge_orders_as_the_lexsort_rule(subtraces):
+    assert merge(subtraces) == lexsort_merge(subtraces)
 
 
 def test_split_length_mismatch_rejected():

@@ -9,8 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pathsplit import wf_eval
-from pathsplit.scheduler import BoundaryMode, SchedulerConfig, Strategy, schedule
-from pathsplit.splitter import split
+from pathsplit.scheduler import BoundaryMode, SchedulerConfig, Strategy
 from pathsplit.traces import Dataset, Trace, UNMONITORED_LABEL, generate_synthetic
 from pathsplit.wf_eval import (
     Classifier,
@@ -356,18 +355,7 @@ def test_classify_labels_equal_the_full_scan(
 def benchmark_rows(classes, per_class, unmonitored, config, seed=1):
     """(train, test) rows of evaluate_defense on a generated corpus."""
     dataset = generate_synthetic(classes, per_class, unmonitored, seed=7)
-    sides = []
-    for indices in split_indices(dataset, seed):
-        rows = []
-        for i in indices:
-            trace = dataset.traces[i]
-            if config is None:
-                rows.append(trace)
-            else:
-                paths = schedule(trace, config, trace_index=i)
-                rows.extend(s for s in split(trace, paths, config.n_paths) if len(s))
-        sides.append(rows)
-    return sides
+    return wf_eval._defended_rows(dataset, config, seed)
 
 
 LONG_TRACES = (20, 8, 50)
