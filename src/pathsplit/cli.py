@@ -21,6 +21,8 @@ combinations, a flag value the config class refuses).
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import sys
@@ -462,6 +464,17 @@ def _dispatch(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the exit code is 0, 1 or 2 (see the module doc).
+
+    argv None means the program's own run, from the console script or
+    ``python -m pathsplit.cli``: the arguments come from sys.argv, and
+    gc.freeze is registered to run at exit, so the interpreter's final
+    collection skips the heap (numpy's included), which the process is
+    about to drop anyway. A caller that passes argv, such as a test or a
+    host process, keeps its collector as it was.
+    """
+    if argv is None:
+        atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

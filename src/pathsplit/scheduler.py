@@ -12,7 +12,9 @@ Strategies:
   microseconds would agree packet for packet.
 * uniform random draws each batch's path independently.
 * weighted random draws one probability vector per connection from a
-  symmetric Dirichlet and then samples every batch from it.
+  symmetric Dirichlet and then samples every batch from it through the
+  vector's CDF: one uniform per batch, searched in the cumulative
+  weights, the draws ``Generator.choice(n, p=weights)`` makes.
 * context-dependent sends the first H packets (the handshake) down one
   path and everything afterwards down another: exactly one switch.
 
@@ -120,23 +122,30 @@ def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> np.
         paths[:config.handshake_packets] = config.vpn_path
         return paths
 
-    n = len(trace)
     rng = stream_rng(config.seed, _STREAM_SCHEDULE, trace_index)
-    if config.strategy is Strategy.WEIGHTED_RANDOM:
-        weights = draw_connection_weights(config.n_paths, config.dirichlet_alpha, rng)
-
     if config.boundary is BoundaryMode.PACKET_COUNT:
-        inverse = np.arange(n) // config.batch_packets
-        block_ids = np.arange(int(inverse[-1]) + 1)
+        blocks = np.arange(len(trace)) // config.batch_packets
     else:
-        block_ids, inverse = np.unique(
-            trace.times_us // config.window_us, return_inverse=True
-        )
-
+        blocks = trace.times_us // config.window_us
     if config.strategy is Strategy.ROUND_ROBIN:
-        per_block = (config.rr_offset + block_ids) % config.n_paths
-    elif config.strategy is Strategy.UNIFORM_RANDOM:
-        per_block = rng.integers(0, config.n_paths, size=len(block_ids))
-    else:
-        per_block = rng.choice(config.n_paths, size=len(block_ids), p=weights)
-    return per_block[inverse]
+        return (config.rr_offset + blocks) % config.n_paths
+
+    # one draw per populated block, in block order: rank each packet's block
+    # among them. Packet blocks are ranks already; a sorted trace's windows
+    # are sorted, so their runs count the ranks off.
+    if config.boundary is BoundaryMode.TIME_WINDOW:
+        if (blocks[1:] < blocks[:-1]).any():  # a hand-built trace out of order
+            blocks = np.unique(blocks, return_inverse=True)[1]
+        else:
+            runs = np.zeros(len(blocks), dtype=np.int64)
+            np.cumsum(blocks[1:] != blocks[:-1], out=runs[1:])
+            blocks = runs
+    n_blocks = int(blocks.max()) + 1
+    if config.strategy is Strategy.UNIFORM_RANDOM:
+        return rng.integers(0, config.n_paths, size=n_blocks)[blocks]
+    weights = draw_connection_weights(config.n_paths, config.dirichlet_alpha, rng)
+    # Generator.choice(n_paths, n_blocks, p=weights) makes exactly these
+    # draws, after checks of weights that were just drawn and normalized
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(n_blocks), side="right")[blocks]

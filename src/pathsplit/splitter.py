@@ -24,17 +24,19 @@ def split(trace: Trace, paths: np.ndarray, n_paths: int) -> list[Trace]:
     is what path i carries; paths that saw nothing get an empty trace.
     Subtraces inherit the parent's label and monitored flag.
     """
-    paths = int64_column(paths)
+    paths = int64_column(paths, "paths")
     if len(paths) != len(trace):
         raise ValueError(
             f"assignment length {len(paths)} does not "
             f"match trace length {len(trace)}"
         )
-    if ((paths < 0) | (paths >= n_paths)).any():
-        raise ValueError(f"path index out of range [0, {n_paths})")
     # one stable sort groups the packets by path in their original order;
-    # each subtrace is then a slice of the gathered columns
+    # each subtrace is then a slice of the gathered columns. The sort's ends
+    # are the least and greatest index: the range check needs no pass of
+    # its own, and runs before bincount counts up to the greatest.
     order = np.argsort(paths, kind="stable")
+    if len(order) and (paths[order[0]] < 0 or paths[order[-1]] >= n_paths):
+        raise ValueError(f"path index out of range [0, {n_paths})")
     times = trace.times_us[order]
     sizes = trace.signed_size[order]
     times.flags.writeable = sizes.flags.writeable = False

@@ -100,13 +100,23 @@ class DatasetFormatError(ValueError):
         self.line = line
 
 
-def int64_column(values) -> np.ndarray:
+def int64_column(values, name: str = "column") -> np.ndarray:
     """A read-only 1-D int64 array over values, sharing memory when it can.
 
     Only the returned view is read-only; an array passed in keeps its own
-    flags.
+    flags. Values are taken exactly or refused, never cast: a dtype that is
+    not an integer one (bool, float, object...) raises TypeError unless
+    the column is empty, and an unsigned value above 2**63 - 1 raises
+    ValueError. name is the column's name in those messages.
     """
-    column = np.asarray(values, dtype=np.int64)
+    column = np.asarray(values)
+    if column.dtype != np.int64:
+        if column.size:
+            if column.dtype.kind not in "iu":
+                raise TypeError(f"{name} must hold int64 integers, got dtype {column.dtype}")
+            if column.max() > INT64_MAX:  # only an unsigned dtype reaches it
+                raise ValueError(f"{name} value {column.max()} is above 2**63 - 1")
+        column = column.astype(np.int64)
     if column.ndim != 1:
         raise ValueError(f"expected a 1-D column, got shape {column.shape}")
     if column.flags.writeable:
@@ -136,8 +146,8 @@ class Trace:
             raise TypeError(f"label must be a string, got {self.label!r}")
         if not isinstance(self.monitored, bool):
             raise TypeError(f"monitored must be a bool, got {self.monitored!r}")
-        times = int64_column(self.times_us)
-        sizes = int64_column(self.signed_size)
+        times = int64_column(self.times_us, "times_us")
+        sizes = int64_column(self.signed_size, "signed_size")
         if len(times) != len(sizes):
             raise ValueError(
                 f"{len(times)} timestamps but {len(sizes)} sizes"
@@ -163,10 +173,8 @@ class Trace:
         and so does a trace :func:`_traces_from_columns` has checked.
         """
         trace = object.__new__(cls)
-        object.__setattr__(trace, "times_us", times_us)
-        object.__setattr__(trace, "signed_size", signed_size)
-        object.__setattr__(trace, "label", label)
-        object.__setattr__(trace, "monitored", monitored)
+        trace.__dict__.update(times_us=times_us, signed_size=signed_size,
+                              label=label, monitored=monitored)
         return trace
 
     @property

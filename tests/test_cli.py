@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import stat
@@ -649,6 +650,41 @@ def test_evaluate_never_imports_numpy_ma(small_corpus, tmp_path, defense):
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.splitlines()[-1] == "False"
+
+
+FREEZE_CHILD = """\
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+from pathsplit.cli import main
+mode, args = sys.argv[1], sys.argv[2:]
+if mode == "program":
+    sys.argv = ["pathsplit", *args]
+    main()
+elif mode == "argv":
+    main(args)
+"""
+
+
+@pytest.mark.parametrize("mode, frozen", [("program", True), ("argv", False),
+                                          ("import", False)])
+def test_only_the_program_run_freezes_the_heap_at_exit(tmp_path, mode, frozen):
+    """main() with argv None registers gc.freeze at exit, after the child's
+    own check, so (atexit runs last-in first-out) the check sees it done; a
+    caller's main(argv), like importing the package, registers nothing."""
+    argv = ["overhead", "--protocol", "wireguard", "--periods", "10", "--reps", "1",
+            "--total-mb", "0.1", "-o", str(tmp_path / "w.csv")]
+    src = str(Path(pathsplit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    out = subprocess.run([sys.executable, "-c", FREEZE_CHILD, mode, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == f"frozen at exit: {frozen}"
+
+
+def test_an_in_process_main_leaves_the_collector_alone(small_corpus, tmp_path):
+    assert main(["split", "-i", str(small_corpus), "--strategy", "rr",
+                 "-o", str(tmp_path / "s.ndjson")]) == 0
+    assert gc.get_freeze_count() == 0
 
 
 # --- each subcommand's run ends in one place, which records and reports it

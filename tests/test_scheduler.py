@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pathsplit.rand import stream_rng
 from pathsplit.scheduler import (
@@ -124,6 +126,59 @@ def test_dirichlet_moments_match_analytic():
     var = alpha * (total - alpha) / (total**2 * (total + 1))
     assert np.all(np.abs(samples.mean(axis=0) - mean) < 0.01)
     assert np.all(np.abs(samples.var(axis=0) - var) < 0.1 * var)
+
+
+def choice_reference(trace, config, trace_index):
+    """The random and rr strategies as first written: np.unique numbers the
+    populated blocks, and wr samples them with Generator.choice."""
+    rng = stream_rng(config.seed, _STREAM_SCHEDULE, trace_index)
+    if config.strategy is Strategy.WEIGHTED_RANDOM:
+        weights = draw_connection_weights(config.n_paths, config.dirichlet_alpha, rng)
+    if config.boundary is BoundaryMode.PACKET_COUNT:
+        inverse = np.arange(len(trace)) // config.batch_packets
+        block_ids = np.arange(inverse[-1] + 1)
+    else:
+        block_ids, inverse = np.unique(trace.times_us // config.window_us,
+                                       return_inverse=True)
+    if config.strategy is Strategy.ROUND_ROBIN:
+        per_block = (config.rr_offset + block_ids) % config.n_paths
+    elif config.strategy is Strategy.UNIFORM_RANDOM:
+        per_block = rng.integers(0, config.n_paths, size=len(block_ids))
+    else:
+        per_block = rng.choice(config.n_paths, size=len(block_ids), p=weights)
+    return per_block[inverse]
+
+
+@given(
+    gaps=st.lists(st.integers(0, 50_000), min_size=1, max_size=300),
+    reversed_tail=st.integers(0, 300),
+    n_paths=st.integers(2, 8),
+    alpha=st.one_of(st.floats(0.01, 50.0), st.sampled_from([0.05, 0.1, 1.0])),
+    boundary=st.sampled_from(list(BoundaryMode)),
+    batch_packets=st.integers(1, 60),
+    window_us=st.integers(1, 200_000),
+    strategy=st.sampled_from([Strategy.WEIGHTED_RANDOM, Strategy.UNIFORM_RANDOM,
+                              Strategy.ROUND_ROBIN]),
+    seed=st.integers(0, 2**63 - 1),
+    trace_index=st.integers(0, 10**6),
+)
+def test_schedule_equals_the_choice_reference(gaps, reversed_tail, n_paths, alpha, boundary,
+                                              batch_packets, window_us, strategy, seed,
+                                              trace_index):
+    """wr samples each block through the weights' CDF, the draws
+    Generator.choice makes; a sorted trace numbers its windows by their
+    runs, an unsorted one (only a hand-built trace can be) by np.unique.
+    Reversing the last packets makes the trace unsorted."""
+    times = np.cumsum(gaps)
+    tail = slice(max(len(times) - reversed_tail, 0), None)
+    times[tail] = times[tail][::-1].copy()
+    trace = timed_trace(times)
+    config = SchedulerConfig(n_paths=n_paths, strategy=strategy, boundary=boundary,
+                             batch_packets=batch_packets, window_us=window_us,
+                             dirichlet_alpha=alpha, rr_offset=seed % n_paths, seed=seed)
+    got = schedule(trace, config, trace_index)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, choice_reference(trace, config, trace_index))
 
 
 # --- context-dependent

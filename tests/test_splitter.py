@@ -132,6 +132,24 @@ def test_split_length_mismatch_rejected():
         split(trace, [0], 2)
 
 
+@pytest.mark.parametrize("paths", [[0, -1, 1], [0, 2, 1], [2, 0, 0], [-1, 0, 0],
+                                   [0, 2**62, 1]],
+                         ids=["negative", "n_paths", "n_paths-first", "negative-first",
+                              "huge"])  # refused before bincount counts up to 2**62
+def test_split_refuses_a_path_index_out_of_range(paths):
+    trace = mk_trace([(0, 100), (1, 100), (2, 100)])
+    with pytest.raises(ValueError) as exc:
+        split(trace, np.array(paths), 2)
+    assert str(exc.value) == "path index out of range [0, 2)"
+
+
+def test_split_refuses_path_indices_that_are_not_integers():
+    trace = mk_trace([(0, 100), (1, 100), (2, 100)])
+    with pytest.raises(TypeError) as exc:
+        split(trace, np.array([0.9, 1.99, 0.1]), 2)
+    assert str(exc.value) == "paths must hold int64 integers, got dtype float64"
+
+
 def test_merge_empty_list_rejected():
     with pytest.raises(ValueError):
         merge([])

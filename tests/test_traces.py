@@ -353,6 +353,35 @@ def test_int64_column_refuses_a_2d_array():
     assert str(exc.value) == "expected a 1-D column, got shape (2, 2)"
 
 
+@pytest.mark.parametrize("times, sizes, error, message", [
+    ([0.5, 1.7, 2.9], [100, -200, 300], TypeError,
+     "times_us must hold int64 integers, got dtype float64"),
+    ([0, 1, 2], [100, -200, 300.6], TypeError,
+     "signed_size must hold int64 integers, got dtype float64"),
+    ([0, 1], np.array([True, True]), TypeError,
+     "signed_size must hold int64 integers, got dtype bool"),
+    (np.array([0, 2**63], dtype=np.uint64), [100, -200], ValueError,
+     f"times_us value {2**63} is above 2**63 - 1"),
+], ids=["float-times", "float-size", "bool-sizes", "uint64-above-int64"])
+def test_trace_refuses_columns_it_would_have_to_cast(times, sizes, error, message):
+    with pytest.raises(error) as exc:
+        Trace(times, sizes, "class-000", True)
+    assert str(exc.value) == message
+
+
+def test_int64_column_takes_integers_exactly():
+    column = np.array([0, 5, 2**62], dtype=np.int64)
+    view = traces_module.int64_column(column)
+    assert np.shares_memory(view, column) and not view.flags.writeable
+    assert column.flags.writeable  # the caller's array keeps its flags
+    assert traces_module.int64_column([]).dtype == np.int64
+    assert len(Trace([], [], "class-000", True)) == 0
+    for small in (np.array([7, -3], np.int8), np.array([7, 3], np.uint32),
+                  np.array([7, 2**63 - 1], np.uint64)):
+        taken = traces_module.int64_column(small)
+        assert taken.dtype == np.int64 and taken.tolist() == small.tolist()
+
+
 def test_packets_view_holds_the_ndjson_wire_pairs(tmp_path):
     ds = generate_synthetic(2, 2, 1, seed=4)
     for t in (*ds.traces, Trace([], [], "class-000", True)):
