@@ -26,6 +26,7 @@ sequence, the config, and the (seed, trace index) stream.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,10 +112,14 @@ def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> np.
 
     Deterministic in (trace, config, trace_index): random strategies use
     the stream named by (config.seed, trace_index) so traces of a dataset
-    are independent and the whole dataset is reproducible.
+    are independent and the whole dataset is reproducible. Every strategy
+    refuses a negative or non-integer trace_index.
     """
     if not len(trace):
         raise ValueError("cannot schedule an empty trace")
+    if operator.index(trace_index) < 0:  # a float is a TypeError
+        raise ValueError(f"trace_index must be >= 0: expected non-negative "
+                         f"integer, got {trace_index}")
     if config.strategy is Strategy.CONTEXT_DEPENDENT:
         # the handshake rides the tunneled path, the rest the direct one;
         # a trace no longer than the handshake never switches
@@ -122,7 +127,6 @@ def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> np.
         paths[:config.handshake_packets] = config.vpn_path
         return paths
 
-    rng = stream_rng(config.seed, _STREAM_SCHEDULE, trace_index)
     if config.boundary is BoundaryMode.PACKET_COUNT:
         blocks = np.arange(len(trace)) // config.batch_packets
     else:
@@ -131,16 +135,14 @@ def schedule(trace: Trace, config: SchedulerConfig, trace_index: int = 0) -> np.
         return (config.rr_offset + blocks) % config.n_paths
 
     # one draw per populated block, in block order: rank each packet's block
-    # among them. Packet blocks are ranks already; a sorted trace's windows
-    # are sorted, so their runs count the ranks off.
+    # among them. Packet blocks are ranks already; a Trace's timestamps never
+    # decrease, so neither do its windows, and their runs count the ranks off.
     if config.boundary is BoundaryMode.TIME_WINDOW:
-        if (blocks[1:] < blocks[:-1]).any():  # a hand-built trace out of order
-            blocks = np.unique(blocks, return_inverse=True)[1]
-        else:
-            runs = np.zeros(len(blocks), dtype=np.int64)
-            np.cumsum(blocks[1:] != blocks[:-1], out=runs[1:])
-            blocks = runs
-    n_blocks = int(blocks.max()) + 1
+        runs = np.zeros(len(blocks), dtype=np.int64)
+        np.cumsum(blocks[1:] != blocks[:-1], out=runs[1:])
+        blocks = runs
+    n_blocks = int(blocks[-1]) + 1
+    rng = stream_rng(config.seed, _STREAM_SCHEDULE, trace_index)
     if config.strategy is Strategy.UNIFORM_RANDOM:
         return rng.integers(0, config.n_paths, size=n_blocks)[blocks]
     weights = draw_connection_weights(config.n_paths, config.dirichlet_alpha, rng)

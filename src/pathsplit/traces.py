@@ -1,7 +1,8 @@
 """Packet-trace data model, file I/O, and a labeled synthetic-trace generator.
 
 A trace is columnar: two read-only int64 arrays of equal length,
-``times_us`` (microseconds, sorted, non-negative) and ``signed_size``
+``times_us`` (microseconds, non-negative, never decreasing: building a
+:class:`Trace` refuses a timestamp that goes back) and ``signed_size``
 (bytes, sign gives the direction). ``Trace.packets`` is a tuple of the
 columns' ``(timestamp_us, signed_size)`` int pairs, the ndjson wire pair,
 built anew on each read at O(n) cost; nothing in the package reads it,
@@ -106,16 +107,20 @@ def int64_column(values, name: str = "column") -> np.ndarray:
     Only the returned view is read-only; an array passed in keeps its own
     flags. Values are taken exactly or refused, never cast: a dtype that is
     not an integer one (bool, float, object...) raises TypeError unless
-    the column is empty, and an unsigned value above 2**63 - 1 raises
-    ValueError. name is the column's name in those messages.
+    the column is empty, and an integer outside int64 raises ValueError
+    naming it: an unsigned value above 2**63 - 1, or the first such int of
+    a list or tuple of Python ints (numpy reads those as float64 or
+    object). name is the column's name in those messages.
     """
     column = np.asarray(values)
     if column.dtype != np.int64:
         if column.size:
             if column.dtype.kind not in "iu":
+                if isinstance(values, (list, tuple)) and all(type(v) is int for v in values):
+                    raise _outside_int64(name, next(v for v in values if not _in_int64(v)))
                 raise TypeError(f"{name} must hold int64 integers, got dtype {column.dtype}")
             if column.max() > INT64_MAX:  # only an unsigned dtype reaches it
-                raise ValueError(f"{name} value {column.max()} is above 2**63 - 1")
+                raise _outside_int64(name, column.max())
         column = column.astype(np.int64)
     if column.ndim != 1:
         raise ValueError(f"expected a 1-D column, got shape {column.shape}")
@@ -125,15 +130,19 @@ def int64_column(values, name: str = "column") -> np.ndarray:
     return column
 
 
+def _outside_int64(name: str, value: int) -> ValueError:
+    bound = "above 2**63 - 1" if value > 0 else "below -2**63"
+    return ValueError(f"{name} value {value} is {bound}")
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A packet sequence with its class label, stored as two int64 columns.
 
-    Packets are expected to be sorted by timestamp; constructors in this
-    module (loaders, generator, :func:`normalize_trace`) guarantee it.
     Construction checks that the label is a string and monitored a bool,
-    that timestamps are non-negative, sizes non-zero, and that the label is
-    "unmonitored" exactly when monitored is false.
+    that timestamps are non-negative and never decrease (a packet earlier
+    than the one before it raises ValueError naming both), sizes non-zero,
+    and that the label is "unmonitored" exactly when monitored is false.
     """
 
     times_us: np.ndarray
@@ -152,8 +161,13 @@ class Trace:
             raise ValueError(
                 f"{len(times)} timestamps but {len(sizes)} sizes"
             )
-        if len(times) and times.min() < 0:
-            raise ValueError(f"negative timestamp {times.min()}")
+        if len(times) and times[0] < 0:  # the order check holds the rest to it
+            raise ValueError(f"negative timestamp {times[0]}")
+        back = times[1:] < times[:-1]
+        if back.any():
+            i = int(back.argmax()) + 1
+            raise ValueError(f"timestamps must not decrease: packet {i} at "
+                             f"{times[i]} follows {times[i - 1]}")
         if not sizes.all():
             raise ValueError("zero-size packet; sizes must be non-zero")
         misuse = _reserved_label_misuse(self.label, self.monitored)
@@ -223,25 +237,13 @@ class Dataset:
         return len(self.traces)
 
 
-def _stable_sorted(times: np.ndarray, sizes: np.ndarray):
-    """Both columns stably sorted by timestamp; unchanged if already sorted."""
-    if (times[1:] < times[:-1]).any():
-        order = np.argsort(times, kind="stable")
-        return times[order], sizes[order]
-    return times, sizes
-
-
 def normalize_trace(trace: Trace) -> Trace:
-    """Stably sort packets by timestamp and shift the first one to t=0.
-
-    Idempotent: normalizing an already normalized trace is a no-op.
-    """
-    if not len(trace):
+    """Shift the packets so the first sits at t=0; a trace already there,
+    or empty, is returned as is."""
+    times = trace.times_us
+    if not len(times) or times[0] == 0:
         return trace
-    times, sizes = _stable_sorted(trace.times_us, trace.signed_size)
-    if times[0] == 0 and times is trace.times_us:
-        return trace
-    return Trace(times - times[0], sizes, trace.label, trace.monitored)
+    return Trace(times - times[0], trace.signed_size, trace.label, trace.monitored)
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,10 @@ def extract_features(trace: Trace) -> np.ndarray:
     n = len(trace)
     if n == 0:
         return vec
-    times = trace.times_us
     signed = trace.signed_size
     sizes = np.abs(signed.astype(np.float64))  # no int64 wrap of |-2**63| or sums
     signs = np.sign(signed)
-    rel = times - times[0]
+    span = trace.times_us[-1] - trace.times_us[0]  # times never decrease
     out_mask = signed > 0
 
     vec[0] = n
@@ -70,8 +69,8 @@ def extract_features(trace: Trace) -> np.ndarray:
     vec[3] = sizes.sum()
     vec[4] = sizes[out_mask].sum()
     vec[5] = vec[3] - vec[4]
-    vec[6] = int(rel[-1])
-    vec[7] = rel[-1] / (n - 1) if n > 1 else 0.0
+    vec[6] = span
+    vec[7] = span / (n - 1) if n > 1 else 0.0
     vec[8] = vec[1] / n
 
     head = signs[:_FIRST_SIGNS]

@@ -41,13 +41,14 @@ labels = st.text(min_size=0, max_size=12).filter(lambda s: s != UNMONITORED_LABE
 
 @st.composite
 def raw_traces(draw, size=sizes, max_time=INT64_MAX, label=labels):
-    """A trace with non-negative, unsorted timestamps and any label."""
+    """A trace with non-negative, non-decreasing timestamps, not rebased
+    to 0, and any label."""
     pairs = draw(st.lists(st.tuples(st.integers(0, max_time), size),
                           min_size=1, max_size=40))
     monitored = draw(st.booleans())
     label = draw(label) if monitored else UNMONITORED_LABEL
     times, signed = zip(*pairs)
-    return Trace(times, signed, label, monitored)
+    return Trace(sorted(times), signed, label, monitored)
 
 
 @st.composite
@@ -65,6 +66,26 @@ def test_load_of_save_is_normalize(tmp_path_factory, traces, fmt):
     save_dataset(Dataset.from_traces(traces), path, fmt)
     back = load_dataset(path, fmt)
     assert back.traces == tuple(normalize_trace(t) for t in traces)
+
+
+@given(pairs=st.lists(st.tuples(st.integers(0, INT64_MAX), sizes), min_size=1, max_size=40),
+       ordered=st.booleans(), fmt=st.sampled_from(["ndjson", "csv"]))
+def test_a_trace_is_refused_out_of_order_or_saves_with_its_features(tmp_path_factory, pairs,
+                                                                     ordered, fmt):
+    """A Trace is time-ordered or not built at all, so its features are
+    those of the copy a save and load give back, which sorts and rebases.
+    Half the lists are sorted by time first, so both outcomes are drawn."""
+    times, signed = zip(*(sorted(pairs, key=lambda p: p[0]) if ordered else pairs))
+    try:
+        trace = Trace(times, signed, "a", True)
+    except ValueError as exc:
+        assert str(exc).startswith("timestamps must not decrease: packet ")
+        assert any(later < earlier for earlier, later in zip(times, times[1:]))
+        return
+    path = tmp_path_factory.mktemp("order") / f"d.{fmt}"
+    save_dataset(Dataset.from_traces([trace]), path, fmt)
+    (back,) = load_dataset(path, fmt).traces
+    assert np.array_equal(extract_features(back), extract_features(trace))
 
 
 # csv text that the reader must take as csv.reader does, or refuse with

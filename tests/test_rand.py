@@ -3,7 +3,7 @@ that rand.stream_rng once folded onto another one's stream."""
 
 import pytest
 
-from pathsplit.scheduler import SchedulerConfig, schedule
+from pathsplit.scheduler import SchedulerConfig, Strategy, schedule
 from pathsplit.traces import Trace, generate_synthetic
 from pathsplit.wf_eval import evaluate_defense
 
@@ -27,8 +27,20 @@ CONFIG_RANGE = r"^seed must be an integer in \[0, 9223372036854775808\), got "
     (lambda: schedule(Trace([0, 1], [100, -100], "class-000", True), SchedulerConfig(),
                       trace_index=-1),
      ValueError, "expected non-negative integer"),
+    # rr and context draw nothing, but refuse it by name all the same
+    (lambda: schedule(Trace([0, 1], [100, -100], "class-000", True),
+                      SchedulerConfig(strategy=Strategy.ROUND_ROBIN), trace_index=-1),
+     ValueError, "^trace_index must be >= 0: expected non-negative integer, got -1$"),
+    (lambda: schedule(Trace([0, 10, 20], [1, 2, 3], "a", True),
+                      SchedulerConfig(n_paths=2, strategy=Strategy.CONTEXT_DEPENDENT),
+                      trace_index=-1),
+     ValueError, "^trace_index must be >= 0: expected non-negative integer, got -1$"),
+    (lambda: schedule(Trace([0, 1], [100, -100], "class-000", True),
+                      SchedulerConfig(strategy=Strategy.ROUND_ROBIN), trace_index=1.5),
+     TypeError, "'float' object cannot be interpreted as an integer"),
 ], ids=["generate-2**63", "generate--1", "generate-7.5", "scheduler--1", "scheduler-2**63",
-        "evaluate-2**63", "schedule-index--1"])
+        "evaluate-2**63", "schedule-index--1", "schedule-rr-index--1",
+        "schedule-context-index--1", "schedule-rr-index-1.5"])
 def test_seeded_entry_points_refuse_what_they_once_aliased(call, error, message):
     with pytest.raises(error, match=message):
         call()

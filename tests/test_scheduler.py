@@ -151,7 +151,6 @@ def choice_reference(trace, config, trace_index):
 
 @given(
     gaps=st.lists(st.integers(0, 50_000), min_size=1, max_size=300),
-    reversed_tail=st.integers(0, 300),
     n_paths=st.integers(2, 8),
     alpha=st.one_of(st.floats(0.01, 50.0), st.sampled_from([0.05, 0.1, 1.0])),
     boundary=st.sampled_from(list(BoundaryMode)),
@@ -162,17 +161,12 @@ def choice_reference(trace, config, trace_index):
     seed=st.integers(0, 2**63 - 1),
     trace_index=st.integers(0, 10**6),
 )
-def test_schedule_equals_the_choice_reference(gaps, reversed_tail, n_paths, alpha, boundary,
-                                              batch_packets, window_us, strategy, seed,
-                                              trace_index):
+def test_schedule_equals_the_choice_reference(gaps, n_paths, alpha, boundary, batch_packets,
+                                              window_us, strategy, seed, trace_index):
     """wr samples each block through the weights' CDF, the draws
-    Generator.choice makes; a sorted trace numbers its windows by their
-    runs, an unsorted one (only a hand-built trace can be) by np.unique.
-    Reversing the last packets makes the trace unsorted."""
-    times = np.cumsum(gaps)
-    tail = slice(max(len(times) - reversed_tail, 0), None)
-    times[tail] = times[tail][::-1].copy()
-    trace = timed_trace(times)
+    Generator.choice makes; windows numbered by their runs are the ranks
+    np.unique gives them."""
+    trace = timed_trace(np.cumsum(gaps))
     config = SchedulerConfig(n_paths=n_paths, strategy=strategy, boundary=boundary,
                              batch_packets=batch_packets, window_us=window_us,
                              dirichlet_alpha=alpha, rr_offset=seed % n_paths, seed=seed)

@@ -180,12 +180,16 @@ def test_reserved_label_contract(tmp_path, fmt):
 
 
 def test_normalize_trace_idempotent():
-    t = mk_trace([(700, 100), (200, -300), (900, 50)])
+    t = mk_trace([(200, -300), (700, 100), (700, 60), (900, 50)])
     once = normalize_trace(t)
-    assert normalize_trace(once) == once
-    assert once.times_us[0] == 0
+    assert normalize_trace(once) is once
+    assert once.times_us.tolist() == [0, 500, 500, 700]
+    assert np.array_equal(once.signed_size, t.signed_size)
     empty = mk_trace([])
     assert normalize_trace(empty) is empty
+    # there is no unsorted trace to normalize: building one is refused
+    with pytest.raises(ValueError, match="^timestamps must not decrease: packet 1 "):
+        mk_trace([(700, 100), (200, -300), (900, 50)])
 
 
 # --- saving and round trips
@@ -347,6 +351,17 @@ def test_trace_columns_are_validated_and_read_only():
     assert Trace([0, 1], [2**62, -(2**62)], "class-000", True).total_bytes == 2**63
 
 
+def test_trace_refuses_a_timestamp_that_goes_back():
+    # unchecked, this trace's duration and mean gap came out negative
+    with pytest.raises(ValueError) as exc:
+        Trace([900, 0, 400], [100, -200, 300], "a", True)
+    assert str(exc.value) == "timestamps must not decrease: packet 1 at 0 follows 900"
+    with pytest.raises(ValueError, match="^timestamps must not decrease: packet 2 at 4 follows 5$"):
+        Trace([3, 5, 4], [1, 1, 1], "a", True)
+    # equal timestamps keep their order
+    assert Trace([3, 3, 3], [1, -1, 2], "a", True).signed_size.tolist() == [1, -1, 2]
+
+
 def test_int64_column_refuses_a_2d_array():
     with pytest.raises(ValueError) as exc:
         traces_module.int64_column(np.zeros((2, 2), np.int64))
@@ -362,7 +377,16 @@ def test_int64_column_refuses_a_2d_array():
      "signed_size must hold int64 integers, got dtype bool"),
     (np.array([0, 2**63], dtype=np.uint64), [100, -200], ValueError,
      f"times_us value {2**63} is above 2**63 - 1"),
-], ids=["float-times", "float-size", "bool-sizes", "uint64-above-int64"])
+    ([0.5], [100], TypeError, "times_us must hold int64 integers, got dtype float64"),
+    # Python ints numpy reads as float64 or object: the value is named
+    ([-1, 2**63], [100, -200], ValueError, f"times_us value {2**63} is above 2**63 - 1"),
+    ([0, 2**64], [100, -200], ValueError, f"times_us value {2**64} is above 2**63 - 1"),
+    ([0, 1], [100, -2**63 - 1], ValueError,
+     f"signed_size value {-2**63 - 1} is below -2**63"),
+    ([0, 1], [True, 2**64], TypeError, "signed_size must hold int64 integers, got dtype object"),
+], ids=["float-times", "float-size", "bool-sizes", "uint64-above-int64", "one-float",
+        "int-list-as-float64", "int-list-above-as-object", "int-list-below-as-object",
+        "bool-in-int-list"])
 def test_trace_refuses_columns_it_would_have_to_cast(times, sizes, error, message):
     with pytest.raises(error) as exc:
         Trace(times, sizes, "class-000", True)
@@ -602,7 +626,8 @@ def test_loaders_sort_only_the_traces_out_of_order(tmp_path, fmt):
     write_records(f, fmt, records)
     loaded = load_dataset(f, fmt).traces
     assert loaded == tuple(
-        normalize_trace(mk_trace(r["packets"], r["label"], r["monitored"]))
+        normalize_trace(mk_trace(sorted(r["packets"], key=lambda p: p[0]), r["label"],
+                                 r["monitored"]))
         for r in records
     )
     for t in loaded:
